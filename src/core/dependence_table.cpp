@@ -1,9 +1,10 @@
 #include "core/dependence_table.hpp"
 
 #include <algorithm>
-#include <utility>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace nexuspp::core {
 
@@ -16,15 +17,22 @@ void DependenceTableConfig::validate() const {
         "DependenceTable kick_off_capacity must be >= 2 (ids plus a "
         "continuation pointer)");
   }
+  if (kick_off_capacity >
+      std::numeric_limits<DependenceTable::Index>::max() / capacity) {
+    throw std::invalid_argument(
+        "DependenceTable capacity x kick_off_capacity (" +
+        std::to_string(capacity) + " x " + std::to_string(kick_off_capacity) +
+        ") overflows the 32-bit kick-off id index");
+  }
 }
 
 DependenceTable::DependenceTable(DependenceTableConfig config)
-    : config_(config) {
-  config_.validate();
-  slots_.resize(config_.capacity);
-  bucket_heads_.assign(config_.capacity, kInvalidIndex);
-  for (Index i = 0; i < config_.capacity; ++i) free_.push_back(i);
-}
+    : config_((config.validate(), config)),
+      slots_(config_.capacity),
+      ko_ids_(std::size_t{config_.capacity} * config_.kick_off_capacity,
+              kInvalidTask),
+      bucket_heads_(config_.capacity, kInvalidIndex),
+      free_(config_.capacity) {}
 
 std::size_t DependenceTable::bucket_of(Addr addr) const noexcept {
   // Fibonacci (multiplicative) hashing; bucket count equals table capacity.
@@ -45,19 +53,30 @@ DependenceTable::Slot& DependenceTable::parent_slot(Index index) {
   return const_cast<Slot&>(std::as_const(*this).parent_slot(index));
 }
 
+TaskId& DependenceTable::ko_at(Index index, std::uint32_t k) {
+  const Slot& s = slots_[index];
+  return ko_ids_[index * config_.kick_off_capacity +
+                 ring_pos(s.ko_head, k, config_.kick_off_capacity)];
+}
+
+TaskId DependenceTable::ko_at(Index index, std::uint32_t k) const {
+  return const_cast<DependenceTable&>(*this).ko_at(index, k);
+}
+
+// NEXUS_HOT_PATH
 std::optional<DependenceTable::Index> DependenceTable::alloc_slot() {
   if (free_.empty()) return std::nullopt;
-  const Index i = free_.front();
-  free_.pop_front();
+  const Index i = free_.pop();
   slots_[i] = Slot{};
   slots_[i].valid = true;
   stats_.max_live_slots = std::max(stats_.max_live_slots, live_slot_count());
   return i;
 }
 
+// NEXUS_HOT_PATH
 void DependenceTable::free_slot(Index index) {
-  slots_[index] = Slot{};
-  free_.push_back(index);
+  slots_[index].valid = false;
+  free_.push(index);
 }
 
 void DependenceTable::index_erase(Addr addr, Index index) {
@@ -187,7 +206,7 @@ DependenceTable::InsertResult DependenceTable::insert(Addr addr,
 
 Cost DependenceTable::erase(Index index) {
   Slot& s = parent_slot(index);
-  if (!s.ko.empty() || s.has_dummy) {
+  if (s.ko_count != 0 || s.has_dummy) {
     throw std::logic_error(
         "DependenceTable::erase: kick-off list not empty");
   }
@@ -265,16 +284,17 @@ Cost DependenceTable::set_readers(Index index, std::uint32_t value) {
   return Cost{0, 1};
 }
 
+// NEXUS_HOT_PATH
 DependenceTable::AppendResult DependenceTable::kickoff_append(Index parent,
                                                               TaskId task) {
   AppendResult out{true, false, {}};
   Slot& p = parent_slot(parent);
   const Index tail_idx = p.has_dummy ? p.last_dummy : parent;
-  Slot& tail = slots_[tail_idx];
   out.cost.reads += 1;
 
-  if (tail.ko.size() < config_.kick_off_capacity) {
-    tail.ko.push_back(task);
+  if (slots_[tail_idx].ko_count < config_.kick_off_capacity) {
+    ko_at(tail_idx, slots_[tail_idx].ko_count) = task;
+    ++slots_[tail_idx].ko_count;
     out.cost.writes += 1;
     return out;
   }
@@ -296,19 +316,17 @@ DependenceTable::AppendResult DependenceTable::kickoff_append(Index parent,
     return out;
   }
   ++stats_.ko_dummy_allocations;
+  Slot& tail = slots_[tail_idx];
   Slot& d = slots_[*dummy];
   d.is_ko_dummy = true;
   d.addr = p.addr;
-  d.ko.push_back(tail.ko.back());
-  d.ko.push_back(task);
-  // Re-fetch tail reference: alloc_slot may not invalidate (vector is
-  // pre-sized) but keep the access explicit for clarity.
-  Slot& tail2 = slots_[tail_idx];
-  tail2.ko.pop_back();
-  tail2.ko_next = *dummy;
-  Slot& p2 = slots_[parent];
-  p2.has_dummy = true;
-  p2.last_dummy = *dummy;
+  ko_at(*dummy, 0) = ko_at(tail_idx, tail.ko_count - 1);
+  ko_at(*dummy, 1) = task;
+  d.ko_count = 2;
+  --tail.ko_count;
+  tail.ko_next = *dummy;
+  p.has_dummy = true;
+  p.last_dummy = *dummy;
   out.cost.writes += 3;  // dummy slot, tail pointer, parent h_D/l_D
 
   stats_.max_ko_chain_slots =
@@ -320,14 +338,14 @@ DependenceTable::AppendNeed DependenceTable::kickoff_append_need(
     Index parent) const {
   const Slot& p = parent_slot(parent);
   const Index tail_idx = p.has_dummy ? p.last_dummy : parent;
-  if (slots_[tail_idx].ko.size() < config_.kick_off_capacity) return {};
+  if (slots_[tail_idx].ko_count < config_.kick_off_capacity) return {};
   if (!config_.allow_dummy_entries) return {false, true};
   return {true, false};
 }
 
 DependenceTable::Index DependenceTable::promote(Index parent, Cost& cost) {
   Slot& p = slots_[parent];
-  assert(p.valid && !p.is_ko_dummy && p.has_dummy && p.ko.empty());
+  assert(p.valid && !p.is_ko_dummy && p.has_dummy && p.ko_count == 0);
   const Index first_dummy = p.ko_next;
   assert(first_dummy != kInvalidIndex);
   Slot& d = slots_[first_dummy];
@@ -367,18 +385,20 @@ DependenceTable::Index DependenceTable::promote(Index parent, Cost& cost) {
   return first_dummy;
 }
 
+// NEXUS_HOT_PATH
 DependenceTable::PopResult DependenceTable::kickoff_pop(Index parent) {
   PopResult out{std::nullopt, parent, {}};
   Slot& p = parent_slot(parent);
   out.cost.reads += 1;
-  if (p.ko.empty()) {
+  if (p.ko_count == 0) {
     assert(!p.has_dummy);
     return out;
   }
-  out.task = p.ko.front();
-  p.ko.pop_front();
+  out.task = ko_at(parent, 0);
+  p.ko_head = ring_pos(p.ko_head, 1, config_.kick_off_capacity);
+  --p.ko_count;
   out.cost.writes += 1;
-  if (p.ko.empty() && p.has_dummy) {
+  if (p.ko_count == 0 && p.has_dummy) {
     out.parent = promote(parent, out.cost);
   }
   return out;
@@ -389,20 +409,20 @@ DependenceTable::PeekResult DependenceTable::kickoff_front(
   PeekResult out;
   const Slot& p = parent_slot(parent);
   out.cost.reads += 1;
-  if (!p.ko.empty()) out.task = p.ko.front();
+  if (p.ko_count != 0) out.task = ko_at(parent, 0);
   return out;
 }
 
 bool DependenceTable::kickoff_empty(Index parent) const {
   const Slot& p = parent_slot(parent);
-  return p.ko.empty() && !p.has_dummy;
+  return p.ko_count == 0 && !p.has_dummy;
 }
 
 std::uint32_t DependenceTable::kickoff_length(Index parent) const {
   const Slot* s = &parent_slot(parent);
   std::uint32_t total = 0;
   for (;;) {
-    total += static_cast<std::uint32_t>(s->ko.size());
+    total += s->ko_count;
     if (s->ko_next == kInvalidIndex) break;
     s = &slots_[s->ko_next];
   }

@@ -13,6 +13,13 @@
 //     whose kick-off lists continue the parent's (the paper's h_D / l_D
 //     fields; the last list slot becomes a pointer to the next extension).
 //
+// Storage is flat and fixed, like the paper's on-chip tables: the slot
+// array, the free-slot ring and one `capacity × kick_off_capacity` array of
+// kick-off ids (row i is slot i's list, kept as a FIFO ring by a head and a
+// count in the slot) are all allocated once, at construction. Allocating,
+// freeing, appending and popping only rewrite slot fields — no heap
+// traffic.
+//
 // Entries that hash alike are chained (the paper's n_v / n_i / p_i linked
 // list). This implementation keeps a bucket-head array next to the slot
 // pool instead of coalescing chains into the slot array itself; the
@@ -48,12 +55,13 @@
 //   index); resolution logic lives in core::Resolver's range paths.
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <set>
+#include <type_traits>
 #include <vector>
 
+#include "core/index_ring.hpp"
 #include "core/types.hpp"
 
 namespace nexuspp::core {
@@ -70,6 +78,9 @@ struct DependenceTableConfig {
   /// interval index behind `overlapping()`.
   MatchMode match_mode = MatchMode::kBaseAddr;
 
+  /// Throws std::invalid_argument if the configuration is unusable,
+  /// including a kick-off id array (capacity × kick_off_capacity) too large
+  /// for the table's 32-bit index.
   void validate() const;
 };
 
@@ -179,7 +190,7 @@ class DependenceTable {
     return config_.match_mode;
   }
   [[nodiscard]] std::uint32_t free_slot_count() const noexcept {
-    return static_cast<std::uint32_t>(free_.size());
+    return free_.size();
   }
   [[nodiscard]] std::uint32_t live_slot_count() const noexcept {
     return config_.capacity - free_slot_count();
@@ -212,22 +223,28 @@ class DependenceTable {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
+  /// Trivially copyable: resetting a slot is a handful of stores. The
+  /// kick-off ids live in row `index` of `ko_ids_`, as a ring of
+  /// `ko_count` ids starting at `ko_head`.
   struct Slot {
-    bool valid = false;
-    bool is_ko_dummy = false;
     Addr addr = 0;
     std::uint32_t size = 0;
-    bool out = false;
     std::uint32_t rdrs = 0;
-    bool ww = false;
     TaskId owner = kInvalidTask;  ///< registering task (range mode only)
     Index next = kInvalidIndex;       ///< hash chain (parents only)
     Index prev = kInvalidIndex;       ///< hash chain (parents only)
     Index ko_next = kInvalidIndex;    ///< next kick-off extension slot
     Index last_dummy = kInvalidIndex; ///< parents: tail of extension chain
+    std::uint32_t ko_head = 0;        ///< ring position of the oldest id
+    std::uint32_t ko_count = 0;       ///< ids in this slot's list
+    bool valid = false;
+    bool is_ko_dummy = false;
+    bool out = false;
+    bool ww = false;
     bool has_dummy = false;
-    std::deque<TaskId> ko;            ///< this slot's kick-off ids
   };
+  static_assert(std::is_trivially_copyable_v<Slot>,
+                "slot reset must stay a plain field reset");
 
   [[nodiscard]] std::size_t bucket_of(Addr addr) const noexcept;
   [[nodiscard]] const Slot& parent_slot(Index index) const;
@@ -240,11 +257,15 @@ class DependenceTable {
   void index_replace(Addr addr, Index old_index, Index new_index);
   /// Copies parent data into its first extension slot and frees the parent.
   Index promote(Index parent, Cost& cost);
+  /// Kick-off ring of slot `index`: id `k` places after the oldest.
+  [[nodiscard]] TaskId& ko_at(Index index, std::uint32_t k);
+  [[nodiscard]] TaskId ko_at(Index index, std::uint32_t k) const;
 
   DependenceTableConfig config_;
   std::vector<Slot> slots_;
+  std::vector<TaskId> ko_ids_;  ///< capacity × kick_off_capacity ids
   std::vector<Index> bucket_heads_;
-  std::deque<Index> free_;
+  IndexRing free_;
   /// Range mode only: parents sorted by base address (duplicates allowed —
   /// one entry per in-flight access), plus the largest *currently live*
   /// entry size, which bounds how far back an overlap query must scan.

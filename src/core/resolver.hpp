@@ -83,13 +83,22 @@ class Resolver {
   };
   /// Handle Finished: releases the finished task's accesses, grants
   /// waiting tasks, erases drained entries. Never needs new table space.
+  /// A thin wrapper over finish_into.
   [[nodiscard]] FinishResult finish(TaskId id);
 
+  /// finish() writing into a caller-owned buffer: appends the tasks kicked
+  /// off, in grant order, to `now_ready` and returns the cost. Walks the
+  /// task's pool slots in place; when `now_ready` has spare capacity for
+  /// the grants (at most the pool capacity), it performs no heap
+  /// allocation in either match mode.
+  Cost finish_into(TaskId id, std::vector<TaskId>& now_ready);
+
   /// The per-parameter body of finish(): releases one access of finishing
-  /// task `id` and grants its waiters. finish() is exactly read_params plus
-  /// this call per parameter in order; it is public so the banked resolver
-  /// (bank::BankedResolver) can route each parameter to its home bank's
-  /// resolver while keeping identical per-parameter semantics and costs.
+  /// task `id` and grants its waiters. finish() is exactly the pool-slot
+  /// reads plus this call per parameter in order; it is public so the
+  /// banked resolver (bank::BankedResolver) can route each parameter to its
+  /// home bank's resolver while keeping identical per-parameter semantics
+  /// and costs.
   [[nodiscard]] FinishResult finish_param(TaskId id, const Param& param);
 
   struct Stats {
@@ -106,15 +115,20 @@ class Resolver {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
-  // Base-address paths.
+  // Base-address paths. The release paths append granted tasks to
+  // `now_ready` and return their cost.
   [[nodiscard]] ParamResult process_param_base(TaskId id, const Param& param);
-  void release_as_reader(Addr addr, FinishResult& out);
-  void release_as_writer(Addr addr, FinishResult& out);
+  Cost release_as_reader(Addr addr, std::vector<TaskId>& now_ready);
+  Cost release_as_writer(Addr addr, std::vector<TaskId>& now_ready);
   // Range paths.
   [[nodiscard]] ParamResult process_param_range(TaskId id, const Param& param);
-  void release_owned(TaskId id, const Param& param, FinishResult& out);
-  /// Decrements `task`'s DC; appends to `out.now_ready` when it hits zero.
-  void grant_waiter(TaskId task, FinishResult& out);
+  Cost release_owned(TaskId id, const Param& param,
+                     std::vector<TaskId>& now_ready);
+  /// Dispatches one parameter's release to the path for the match mode.
+  Cost release_param(TaskId id, const Param& param,
+                     std::vector<TaskId>& now_ready);
+  /// Decrements `task`'s DC; appends to `now_ready` when it hits zero.
+  Cost grant_waiter(TaskId task, std::vector<TaskId>& now_ready);
 
   TaskPool* tp_;
   DependenceTable* dt_;

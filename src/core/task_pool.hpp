@@ -12,15 +12,22 @@
 // Free slots are recycled through a FIFO free-index list exactly like the
 // paper's "TP Free indices" list.
 //
+// Storage is flat and fixed, like the hardware table: the slot array, the
+// free-index ring and one `capacity × max_params` parameter array (row i
+// holds slot i's own parameters) are allocated once, at construction.
+// Inserting and freeing tasks only rewrite slot fields.
+//
 // All mutating operations return a Cost receipt counting the slot reads and
 // writes performed, which the timed layer converts into on-chip access
 // cycles.
 
 #include <cstdint>
-#include <deque>
 #include <optional>
+#include <span>
+#include <type_traits>
 #include <vector>
 
+#include "core/index_ring.hpp"
 #include "core/types.hpp"
 
 namespace nexuspp::core {
@@ -34,7 +41,9 @@ struct TaskPoolConfig {
   bool allow_dummy_tasks = true;
 
   /// Throws std::invalid_argument if the configuration is unusable
-  /// (max_params must be >= 2 so a slot can hold data + a chain pointer).
+  /// (max_params must be >= 2 so a slot can hold data + a chain pointer,
+  /// and the parameter array, capacity × max_params, must be indexable by
+  /// 32 bits).
   void validate() const;
 };
 
@@ -63,7 +72,12 @@ class TaskPool {
   };
   /// Stores a descriptor; returns nullopt when not enough free slots are
   /// available (the Write TP block then stalls until tasks complete).
-  [[nodiscard]] std::optional<Inserted> insert(const TaskDescriptor& td);
+  [[nodiscard]] std::optional<Inserted> insert(std::uint64_t fn,
+                                               std::uint64_t serial,
+                                               std::span<const Param> params);
+  [[nodiscard]] std::optional<Inserted> insert(const TaskDescriptor& td) {
+    return insert(td.fn, td.serial, td.params);
+  }
 
   /// Frees a task's primary slot and its dummy chain, returning all indices
   /// to the free list.
@@ -97,6 +111,13 @@ class TaskPool {
   };
   [[nodiscard]] ReadParams read_params(TaskId id) const;
 
+  /// Calls `visit(const Param&)` on every parameter of task `id` in order,
+  /// walking the dummy chain in place (no copy). Returns the same cost as
+  /// read_params: one read per slot visited. `visit` must not insert or
+  /// free tasks.
+  template <class Visit>
+  Cost for_each_param(TaskId id, Visit&& visit) const;
+
   struct ModeLookup {
     std::optional<AccessMode> mode;
     Cost cost;
@@ -114,7 +135,7 @@ class TaskPool {
     return config_.max_params;
   }
   [[nodiscard]] std::uint32_t free_slot_count() const noexcept {
-    return static_cast<std::uint32_t>(free_.size());
+    return free_.size();
   }
   [[nodiscard]] std::uint32_t used_slot_count() const noexcept {
     return config_.capacity - free_slot_count();
@@ -139,26 +160,52 @@ class TaskPool {
   [[nodiscard]] TaskId slot_next_dummy(std::uint32_t index) const;
 
  private:
+  /// Trivially copyable: resetting a slot is a handful of stores. The
+  /// slot's own parameters are the first `n_params` entries of row `index`
+  /// of `params_`.
   struct Slot {
+    std::uint64_t fn = 0;
+    std::uint64_t serial = 0;
+    std::uint32_t total_params = 0;
+    std::uint32_t n_params = 0;  ///< this slot's own parameters
+    TaskId next_dummy = kInvalidTask;
+    std::uint16_t dc = 0;
+    std::uint16_t n_dummies = 0;
     bool used = false;
     bool busy = false;
     bool is_dummy = false;
-    std::uint64_t fn = 0;
-    std::uint64_t serial = 0;
-    std::uint16_t dc = 0;
-    std::uint16_t n_dummies = 0;
-    std::uint32_t total_params = 0;
-    std::vector<Param> params;  ///< this slot's own parameters
-    TaskId next_dummy = kInvalidTask;
   };
+  static_assert(std::is_trivially_copyable_v<Slot>,
+                "slot reset must stay a plain field reset");
+
+  /// Slot `index`'s own parameters.
+  [[nodiscard]] std::span<const Param> own_params(TaskId index) const {
+    return {params_.data() + std::size_t{index} * config_.max_params,
+            slots_[index].n_params};
+  }
+  /// Claims the oldest free index and resets it for a descriptor.
+  [[nodiscard]] TaskId take_slot(bool is_dummy,
+                                 std::span<const Param> params);
 
   [[nodiscard]] const Slot& primary(TaskId id) const;
   [[nodiscard]] Slot& primary(TaskId id);
 
   TaskPoolConfig config_;
   std::vector<Slot> slots_;
-  std::deque<TaskId> free_;  ///< the "TP Free indices" FIFO list
+  std::vector<Param> params_;  ///< capacity × max_params parameters
+  IndexRing free_;             ///< the "TP Free indices" FIFO list
   Stats stats_;
 };
+
+template <class Visit>
+Cost TaskPool::for_each_param(TaskId id, Visit&& visit) const {
+  Cost cost;
+  (void)primary(id);  // bounds/liveness check
+  for (TaskId cur = id; cur != kInvalidTask; cur = slots_[cur].next_dummy) {
+    cost.reads += 1;
+    for (const Param& param : own_params(cur)) visit(param);
+  }
+  return cost;
+}
 
 }  // namespace nexuspp::core

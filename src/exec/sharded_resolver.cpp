@@ -57,13 +57,18 @@ struct ShardState {
                cfg.match_mode}),
         resolver(pool, table),
         local_to_global(pool_capacity, ShardedResolver::kNoGlobal),
-        shard_id(shard_id) {}
+        shard_id(shard_id) {
+    ready_scratch.reserve(pool_capacity);
+  }
 
   core::TaskPool pool;
   core::DependenceTable table;
   core::Resolver resolver;
   /// Local TaskId -> owning global task.
   std::vector<ShardedResolver::GlobalId> local_to_global;
+  /// Local tasks one release granted; sized for a whole pool, so the
+  /// release path never grows it.
+  std::vector<core::TaskId> ready_scratch;
   std::uint32_t shard_id;
 };
 
@@ -136,8 +141,7 @@ SubmitResult shared_submit_group(ShardState& st, GlobalId gid,
                     " (dummy tasks disabled or pool too small)";
       return out;
     }
-    const auto inserted =
-        st.pool.insert(core::TaskDescriptor{fn, serial, params});
+    const auto inserted = st.pool.insert(fn, serial, params);
     if (!inserted.has_value()) {
       out.progress = Progress::kStalled;
       return out;
@@ -184,21 +188,21 @@ SubmitResult shared_submit_group(ShardState& st, GlobalId gid,
 // NEXUS_HOT_PATH
 void shared_finish_local(ShardState& st, core::TaskId task,
                          std::vector<GlobalId>& granted) {
-  // Audit boundary for the release path's no-alloc tripwire: the core
-  // resolver's own bookkeeping (now_ready return vector, kick-off
-  // scratch) and amortized growth of the caller's grant buffer are the
-  // reviewed allocations on this path; anything new trips the scope that
-  // ShardedResolver::finish opened.
-  util::AllowAllocScope allow("shared_finish_local resolver bookkeeping");
+  // No audited hole: the tables are fixed slabs, and both grant buffers
+  // are sized for a whole pool up front, so anything that allocates here
+  // trips the scope that ShardedResolver::finish opened.
   chk::plain_write(&st);  // schedcheck: see shared_submit_group
-  const auto released = st.resolver.finish(task);
-  for (const auto granted_local : released.now_ready) {
+  st.ready_scratch.clear();
+  (void)st.resolver.finish_into(task, st.ready_scratch);
+  for (const auto granted_local : st.ready_scratch) {
     const GlobalId global = st.local_to_global[granted_local];
     if (global == ShardedResolver::kNoGlobal) {
+      util::AllowAllocScope allow("missing-owner diagnostic");
       throw std::logic_error(
           "ShardedResolver: granted local task has no global owner");
     }
-    granted.push_back(global);  // nexus-lint: allow(hot-path-alloc)
+    // Within the capacity finish() sized.  // nexus-lint: allow(hot-path-alloc)
+    granted.push_back(global);
   }
   st.local_to_global[task] = ShardedResolver::kNoGlobal;
   (void)st.pool.free_task(task);
@@ -331,7 +335,9 @@ class LockFreeShardOps final : public ShardedResolver::ShardOps {
                    EpochDomain& epoch)
       : state_(cfg, shard_id, pool_capacity, table_capacity),
         epoch_(&epoch),
-        space_(new SpaceSnapshot(pool_capacity, 0)) {}
+        space_(new SpaceSnapshot(pool_capacity, 0)) {
+    combiner_scratch_.reserve(pool_capacity);
+  }
 
   ~LockFreeShardOps() override {
     // The live snapshot is never epoch-retired (only superseded ones are);
@@ -389,9 +395,8 @@ class LockFreeShardOps final : public ShardedResolver::ShardOps {
     request.kind = ShardRequest::Kind::kFinish;
     request.finish_task = task;
     run_delegated(request);
-    // Amortized growth of the caller-owned grant buffer is the one
-    // audited allocation on this side of the handoff.
-    util::AllowAllocScope allow("finish grants append (amortized)");
+    // The caller's grant buffer holds a whole pool's worth of grants
+    // (sized by ShardedResolver::finish), so appending never allocates.
     for (std::uint32_t i = 0; i < request.grant_count; ++i) {
       granted.push_back(request.grants[i]);  // nexus-lint: allow(hot-path-alloc)
     }
@@ -469,9 +474,9 @@ class LockFreeShardOps final : public ShardedResolver::ShardOps {
  private:
   void handle(SyncRequest& base) {
     // Combiner-side mutation on behalf of whichever thread published the
-    // request: resolver bookkeeping allocates by design, and a finisher
-    // that drains the ring inside its own no-alloc scope is executing
-    // *other* threads' requests — the scope's rule is about the
+    // request: submits and grant-overflow blocks allocate by design, and a
+    // finisher that drains the ring inside its own no-alloc scope is
+    // executing *other* threads' requests — the scope's rule is about the
     // finisher's own path, so open an audited hole for the batch body.
     util::AllowAllocScope allow("combiner handle() for delegated requests");
     auto& request = static_cast<ShardRequest&>(base);
@@ -649,6 +654,7 @@ ShardedResolver::ShardedResolver(const ShardedResolverConfig& config,
       std::max(1u, config.pool_capacity / config.shards);
   const std::uint32_t table_per_shard =
       std::max(1u, config.table_capacity / config.shards);
+  grant_capacity_ = std::size_t{pool_per_shard} * config.shards;
   shards_.reserve(config.shards);
   for (std::uint32_t s = 0; s < config.shards; ++s) {
     if (sync_ == SyncMode::kLockFree) {
@@ -779,10 +785,14 @@ ShardedResolver::Progress ShardedResolver::SubmitSession::advance() {
 void ShardedResolver::finish(GlobalId gid, std::vector<GlobalId>& now_ready) {
   // Checked builds abort on any unaudited allocation in this call's
   // dynamic extent; AllowAllocScope at the reviewed interior sites
-  // (resolver bookkeeping, combiner snapshots, epoch limbo nodes) opens
-  // the audited holes. See docs/CORRECTNESS.md.
+  // (first grant-buffer sizing, combiner work and snapshots, epoch limbo
+  // nodes) opens the audited holes. See docs/CORRECTNESS.md.
   util::NoAllocScope no_alloc("ShardedResolver::finish");
   now_ready.clear();
+  if (now_ready.capacity() < grant_capacity_) {
+    util::AllowAllocScope allow("grant buffer sizing (once per buffer)");
+    now_ready.reserve(grant_capacity_);  // nexus-lint: allow(hot-path-alloc)
+  }
   TaskNode& node = nodes_[gid];
   for (const auto& [shard_id, local] : node.locals) {
     // Schedcheck: reader side of the local-id publication (see

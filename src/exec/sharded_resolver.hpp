@@ -178,8 +178,10 @@ class ShardedResolver {
   /// one critical section at a time), frees its shard-local descriptors,
   /// and fills `now_ready` (cleared first) with the global tasks that
   /// became fully ready. The buffer is caller-owned so the release hot
-  /// path never allocates — workers reuse one per thread. Thread-safe;
-  /// callable from any worker. Never needs new table space.
+  /// path never allocates — workers reuse one per thread; the first call
+  /// on a buffer sizes it once to the total pool capacity, the most
+  /// grants one release can produce. Thread-safe; callable from any
+  /// worker. Never needs new table space.
   void finish(GlobalId gid, std::vector<GlobalId>& now_ready);
 
   /// Blocks until `timeout` elapses or a finish() frees space in `shard`
@@ -247,6 +249,9 @@ class ShardedResolver {
   SyncMode sync_;
   std::vector<std::unique_ptr<ShardOps>> shards_;
   std::vector<TaskNode> nodes_;
+  /// Descriptor slots over all shards: the most per-shard grant votes one
+  /// finish() can collect.
+  std::size_t grant_capacity_ = 0;
   /// Reclamation domain shared by all lock-free shards (unused by mutex
   /// shards); lives here so its lifetime covers every shard's retirees.
   EpochDomain epoch_;

@@ -10,6 +10,9 @@
 
 #include <vector>
 
+#include "core/dependence_table.hpp"
+#include "core/resolver.hpp"
+#include "core/task_pool.hpp"
 #include "core/types.hpp"
 #include "exec/epoch.hpp"
 #include "exec/sharded_resolver.hpp"
@@ -65,6 +68,64 @@ TEST(CheckedInvariants, ResolverChainRunsCleanMutex) {
 
 TEST(CheckedInvariants, ResolverChainRunsCleanLockfree) {
   drive_chain(SyncMode::kLockFree, 64);
+}
+
+/// Drives a core::Resolver directly: a writer, a crowd of readers behind
+/// it, a second writer, more readers, repeated. Two-id kick-off lists make
+/// the crowds spill into dummy entries, and draining them promotes the
+/// dummies. Every task also writes a private address, so finishing erases
+/// entries too. Each finish_into runs inside a NoAllocScope with no holes:
+/// in a checked build any heap allocation on the release path aborts.
+void drive_core_release(core::MatchMode mode) {
+  core::TaskPool pool({128, 4});
+  core::DependenceTable table({512, 2, true, mode});
+  core::Resolver resolver(pool, table);
+
+  constexpr core::Addr kShared = 0x1000;
+  std::vector<core::TaskId> ready;
+  std::vector<core::TaskId> order;  // submission order
+  std::uint32_t submitted = 0;
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 12; ++i) {
+      const core::Param shared =
+          i == 0 ? core::inout(kShared) : core::in(kShared);
+      const std::vector<core::Param> params = {
+          shared, core::out(0x8000 + 0x40 * submitted)};
+      const auto ins = pool.insert(0, submitted++, params);
+      ASSERT_TRUE(ins.has_value());
+      const auto sub = resolver.submit(ins->id);
+      ASSERT_FALSE(sub.stalled);
+      order.push_back(ins->id);
+      if (sub.ready) ready.push_back(ins->id);
+    }
+  }
+  EXPECT_GT(table.stats().ko_dummy_allocations, 0u);
+
+  std::vector<core::TaskId> now_ready;
+  now_ready.reserve(pool.capacity());
+  std::size_t finished = 0;
+  while (finished < ready.size()) {
+    const core::TaskId task = ready[finished++];
+    now_ready.clear();
+    {
+      const NoAllocScope no_alloc("core::Resolver::finish_into");
+      (void)resolver.finish_into(task, now_ready);
+      (void)pool.free_task(task);
+    }
+    ready.insert(ready.end(), now_ready.begin(), now_ready.end());
+  }
+  EXPECT_EQ(finished, order.size());
+  EXPECT_GT(table.stats().promotions, 0u);
+  EXPECT_TRUE(table.empty());
+  EXPECT_TRUE(pool.empty());
+}
+
+TEST(CheckedInvariants, CoreReleasePathAllocatesNothingBaseAddr) {
+  drive_core_release(core::MatchMode::kBaseAddr);
+}
+
+TEST(CheckedInvariants, CoreReleasePathAllocatesNothingRange) {
+  drive_core_release(core::MatchMode::kRange);
 }
 
 #if defined(NEXUSPP_CHECKED)

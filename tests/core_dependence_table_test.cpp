@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <random>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/dependence_table.hpp"
@@ -23,6 +26,21 @@ TEST(DependenceTableConfig, Validation) {
   EXPECT_THROW((DependenceTableConfig{16, 1}.validate()),
                std::invalid_argument);
   EXPECT_NO_THROW((DependenceTableConfig{16, 2}.validate()));
+}
+
+TEST(DependenceTableConfig, RejectsKickoffArrayBeyond32BitIndex) {
+  // 65536 × 65536 ids is one past the largest 32-bit index; one slot fewer
+  // fits. Only validate() runs: nothing is allocated.
+  try {
+    DependenceTableConfig{65536, 65536}.validate();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("overflows"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((DependenceTableConfig{0x1000'0000, 32}.validate()),
+               std::invalid_argument);
+  EXPECT_NO_THROW((DependenceTableConfig{65535, 65536}.validate()));
 }
 
 TEST(DependenceTable, InsertLookupEraseRoundTrip) {
@@ -191,6 +209,81 @@ TEST(DependenceTable, LongKickoffChainGrowsAndDrains) {
   EXPECT_EQ(dt.live_slot_count(), 1u);
   dt.erase(i);
   EXPECT_TRUE(dt.empty());
+}
+
+// Seeded random append/pop on one parent, checked against a std::deque
+// model: every pop, the front and the length must match while the kick-off
+// rings wrap, dummy entries are added and the first dummy is promoted.
+void run_kickoff_model(std::uint32_t kick_off_capacity, std::uint32_t seed) {
+  SCOPED_TRACE("kick_off_capacity " + std::to_string(kick_off_capacity) +
+               " seed " + std::to_string(seed));
+  DependenceTable dt({256, kick_off_capacity});
+  auto ins = dt.insert(0x40, 4, true);
+  ASSERT_TRUE(ins.index.has_value());
+  Index parent = *ins.index;
+  std::deque<TaskId> model;
+  TaskId next_id = 0;
+
+  const auto append = [&] {
+    ASSERT_TRUE(dt.kickoff_append(parent, next_id).ok);
+    model.push_back(next_id++);
+  };
+  const auto pop = [&] {
+    const auto popped = dt.kickoff_pop(parent);
+    parent = popped.parent;
+    if (model.empty()) {
+      ASSERT_FALSE(popped.task.has_value());
+      return;
+    }
+    ASSERT_TRUE(popped.task.has_value());
+    ASSERT_EQ(*popped.task, model.front());
+    model.pop_front();
+  };
+
+  // Deterministic prefix: fill the parent's ring, pop one so its head
+  // moves, then append one more — that id lands at the wrapped position.
+  for (std::uint32_t i = 0; i < kick_off_capacity; ++i) append();
+  pop();
+  append();
+  ASSERT_EQ(dt.kickoff_chain_slots(parent), 1u);
+
+  // Random phases: grow (appends favoured, so dummy chains form) then
+  // shrink (pops favoured, so dummies drain and get promoted).
+  std::mt19937 rng(seed);
+  for (int phase = 0; phase < 12; ++phase) {
+    const bool grow = phase % 2 == 0;
+    for (int op = 0; op < 60; ++op) {
+      const bool do_append = (rng() % 4 != 0) == grow;
+      if (do_append && model.size() < 100) {
+        append();
+      } else {
+        pop();
+      }
+      ASSERT_EQ(dt.kickoff_length(parent), model.size());
+      const auto front = dt.kickoff_front(parent);
+      ASSERT_EQ(front.task.has_value(), !model.empty());
+      if (!model.empty()) {
+        ASSERT_EQ(*front.task, model.front());
+      }
+    }
+  }
+  while (!model.empty()) pop();
+  pop();  // popping an empty list returns nothing
+
+  EXPECT_GT(dt.stats().ko_dummy_allocations, 0u);
+  EXPECT_GT(dt.stats().promotions, 0u);
+  EXPECT_TRUE(dt.kickoff_empty(parent));
+  EXPECT_EQ(dt.addr_of(parent), 0x40u);
+  dt.erase(parent);
+  EXPECT_TRUE(dt.empty());  // every dummy slot went back to the free ring
+}
+
+TEST(DependenceTable, KickoffRingsMatchDequeModel) {
+  for (const std::uint32_t k : {2u, 3u, 8u}) {
+    for (const std::uint32_t seed : {1u, 7u, 42u}) {
+      run_kickoff_model(k, seed);
+    }
+  }
 }
 
 TEST(DependenceTable, PromotionFreesParentSlotEarly) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/task_pool.hpp"
@@ -32,6 +33,19 @@ TEST(TaskPoolConfig, Validation) {
   EXPECT_THROW((TaskPoolConfig{0, 8}.validate()), std::invalid_argument);
   EXPECT_THROW((TaskPoolConfig{16, 1}.validate()), std::invalid_argument);
   EXPECT_NO_THROW((TaskPoolConfig{16, 2}.validate()));
+}
+
+TEST(TaskPoolConfig, RejectsParameterArrayBeyond32BitIndex) {
+  // 65536 × 65536 parameters is one past the largest 32-bit index. Only
+  // validate() runs: nothing is allocated.
+  try {
+    TaskPoolConfig{65536, 65536}.validate();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("overflows"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_NO_THROW((TaskPoolConfig{65535, 65536}.validate()));
 }
 
 TEST(TaskPool, SlotsNeededMatchesPaperExample) {
@@ -158,6 +172,50 @@ TEST(TaskPool, FreeIndicesRecycleFifo) {
   EXPECT_EQ(c->id, 2u);
   EXPECT_EQ(d->id, 3u);
   EXPECT_EQ(e->id, 0u);
+}
+
+TEST(TaskPool, ReusedSlotsHoldOnlyTheNewParameters) {
+  // A pool exactly as large as one wide task: after it is freed, the
+  // narrow tasks that follow must land in its primary and dummy slots and
+  // see none of its parameters left in the parameter array.
+  TaskPool pool({3, 4});
+  ASSERT_EQ(pool.slots_needed(10), 3u);
+  auto wide = pool.insert(make_task(10, 0xA, 0x1000));
+  ASSERT_TRUE(wide.has_value());
+  ASSERT_EQ(wide->id, 0u);
+  ASSERT_TRUE(pool.slot_is_dummy(1) && pool.slot_is_dummy(2));
+  pool.set_busy(wide->id, true);
+  pool.increment_dc(wide->id);
+  pool.free_task(wide->id);
+  ASSERT_TRUE(pool.empty());
+
+  const std::vector<Param> one = {core::out(0x9000, 8)};
+  const std::vector<Param> two = {core::inout(0x9100, 16), core::in(0x9200)};
+  auto a = pool.insert(0xB, 7, one);
+  auto b = pool.insert(0xC, 8, two);
+  ASSERT_TRUE(a && b);
+  EXPECT_EQ(a->id, 0u);  // the wide task's primary slot
+  EXPECT_EQ(b->id, 1u);  // its first dummy slot
+
+  EXPECT_EQ(pool.read_params(a->id).params, one);
+  EXPECT_EQ(pool.read_params(b->id).params, two);
+  EXPECT_EQ(pool.read_params(a->id).cost.reads, 1u);  // no stale chain
+  for (const TaskId id : {a->id, b->id}) {
+    EXPECT_FALSE(pool.slot_is_dummy(id));
+    EXPECT_EQ(pool.slot_next_dummy(id), core::kInvalidTask);
+    EXPECT_EQ(pool.dummy_count(id), 0u);
+    EXPECT_EQ(pool.dependence_count(id), 0u);
+    EXPECT_FALSE(pool.busy(id));
+    // The wide task's addresses are gone from both slots.
+    for (std::size_t i = 0; i < 10; ++i) {
+      EXPECT_FALSE(pool.mode_for(id, 0x1000 + 64 * i).mode.has_value());
+    }
+  }
+  EXPECT_EQ(pool.fn(a->id), 0xBu);
+  EXPECT_EQ(pool.serial(b->id), 8u);
+  EXPECT_EQ(pool.param_count(b->id), 2u);
+  EXPECT_EQ(pool.mode_for(b->id, 0x9200).mode, AccessMode::kIn);
+  EXPECT_EQ(pool.mode_for(a->id, 0x9000).mode, AccessMode::kOut);
 }
 
 TEST(TaskPool, DependenceCounterRoundTrip) {
