@@ -15,24 +15,25 @@
 //   wavefront  — ~11.8 us kernels on a wide H.264-style frontier: the
 //                scaling showcase (the ready queue stays deep, so worker
 //                kernels overlap).
-//   fine-dag   — 250 ns kernels on a chain-heavy random DAG: resolver- and
-//                lock-bound, the regime where shard counts and lock
-//                contention decide throughput.
+//   fine-dag   — 250 ns kernels on a chain-heavy random DAG: resolver-
+//                bound, the regime where the master's per-task
+//                registration and release cost decides throughput.
 //   fine-stream — ~100 ns kernels, wide fan-in (up to 6 params/task):
-//                kernels are noise, resolution *is* the workload. This is
-//                the sync-backend showdown stream: a second grid runs
-//                sync {mutex, lockfree} x threads {1..8} ({1..32} in full
-//                mode) on it, one series per sync mode, producing the
-//                headline contention curve.
+//                kernels are noise, resolution *is* the workload. A
+//                second grid runs sync {mutex, lockfree} x threads {1..8}
+//                ({1..32} in full mode) on it, one series per sync mode.
+//                The master is the resolver's only caller, so neither
+//                backend is ever contended: the two series measure each
+//                backend's uncontended per-operation cost side by side.
 //   tiled-cholesky — the application-shaped factorization DAG.
 //
-// Plotting the contention curve from the CSV artifact
+// Plotting the sync series from the CSV artifact
 // (NEXUSPP_BENCH_CSV=curve.csv ./bench_executor_throughput):
 // filter rows whose series starts with "fine-stream/sync-", then plot
 // exec_tasks_per_sec against the thread count in the label, one line per
-// series — the mutex line flattens where exec_lock_contentions takes off;
-// the lockfree line's analogous x-ray columns are exec_cas_retries and
-// exec_combined_batches (requests/batches = mean combiner batch size).
+// series. exec_lock_contentions stays 0 on the mutex line and combiner
+// batches stay at size 1 on the lockfree line (every request runs on the
+// uncontended fast path).
 //
 // Measured scaling is bounded by the *host's* cores — that is the point of
 // a real backend. On a starved host the wavefront rows still overlap
@@ -130,10 +131,9 @@ int run() {
     }
   }
 
-  // The contention curve: both shard-sync backends head to head on the
+  // The sync series: both shard-sync backends head to head on the
   // resolution-bound stream, one series per backend so the CSV plots as
-  // two lines over thread count. 4 shards keeps per-shard contention high
-  // enough to separate the backends without serializing on one shard.
+  // two lines over thread count, on 4 shards.
   {
     std::vector<std::uint32_t> curve_threads = {1u, 2u, 4u, 8u};
     if (bench::full_mode()) {
@@ -223,14 +223,14 @@ int run() {
   bench::note(
       "Expected shape: wavefront's wide frontier overlaps kernels, so its "
       "wall-clock makespan falls with threads (up to the host's cores); "
-      "fine-dag is resolver-bound — its tasks/sec moves with shard count "
-      "and its lock-contention column is the one worth reading; the "
-      "fine-stream/sync-* series are the contention curve — past the "
-      "uncontended point the lockfree rows should hold tasks/sec at or "
-      "above the mutex rows, with combiner batch size growing where the "
-      "mutex line's contention column grows; the simulated rows are "
-      "predicted time for a machine with `workers` free cores, the "
-      "yardstick the measured rows sit next to.");
+      "fine-dag and fine-stream are bound by the master, which registers "
+      "and releases every task, so their tasks/sec moves little with "
+      "threads beyond the first few, and the lock-contention column stays "
+      "at 0 (workers never touch the shards); the fine-stream/sync-* "
+      "series compare the two backends' uncontended cost and should sit "
+      "close together; worker utilization counts kernel time only; the "
+      "simulated rows are predicted time for a machine with `workers` "
+      "free cores, the yardstick the measured rows sit next to.");
   return 0;
 }
 

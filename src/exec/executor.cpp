@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -56,39 +53,66 @@ ShardedResolverConfig ExecConfig::resolver_config() const {
 struct ThreadedExecutor::Impl {
   std::unique_ptr<ShardedResolver> resolver;
   std::uint64_t expected = 0;
+  /// Worker threads in the pool (0 in inline mode).
+  std::uint32_t workers = 0;
 
   // Per-task bookkeeping, pre-sized before any worker starts.
   std::vector<std::uint64_t> serials;
   std::vector<std::uint64_t> exec_ns;
   std::vector<Clock::time_point> submitted_at;
 
-  // Run queue (guards `ready`, `queue_peak`, `done`, `running`).
+  // Run queue. Every task is dispatched exactly once, so the queue is an
+  // append-only log of `expected` ids: the master writes entries past
+  // `tail` without the lock and publishes them by advancing `tail` under
+  // it; workers pop at `head`. Nothing on either side ever allocates.
+  std::vector<std::uint64_t> queue;
+  // qmu guards head, tail, parked, signaled, done and queue_peak.
   chk::Mutex qmu;
   chk::CondVar qcv;
-  std::deque<std::uint64_t> ready;
-  std::size_t queue_peak = 0;
+  std::size_t head = 0;
+  std::size_t tail = 0;
+  /// Workers blocked on qcv, and how many of them were already notified
+  /// but have not run yet: a notified worker is as good as awake, so
+  /// nobody pays for a second wake-up meant for the same worker.
+  std::uint32_t parked = 0;
+  std::uint32_t signaled = 0;
   bool done = false;
-  /// Workers currently inside run_one (claimed a task, not yet finished
-  /// releasing it). Part of the wedge predicate below.
-  unsigned running = 0;
+  std::size_t queue_peak = 0;
 
-  // Progress counters.
-  chk::Atomic<std::int64_t> in_flight{0};  ///< registered, not yet completed
-  chk::Atomic<std::uint64_t> completed{0};
-  chk::Atomic<std::uint64_t> target{0};  ///< completions that end the run
+  // Completion channel, the Task Controllers' "finished" signal: another
+  // append-only log of `expected` ids. Workers append under cmu and
+  // publish the new length through `posted` (release); the master reads
+  // `posted` (acquire) and consumes entries without the lock. cmu is only
+  // needed among posting workers and for the master's park/wake protocol.
+  std::vector<std::uint64_t> completions;
+  // cmu guards appends to `completions` and master_parked.
+  chk::Mutex cmu;
+  chk::CondVar ccv;
+  chk::Atomic<std::uint64_t> posted{0};
+  bool master_parked = false;
 
-  // Per-worker accounting (slot w written only by worker w; read after
-  // the pool is joined).
-  std::vector<double> worker_busy;
-  std::vector<util::RunningStats> worker_turnaround;
-  /// Per-worker kernel bodies (slot w used only by worker w; the inline
-  /// master uses slot 0) and the work units each executed.
+  // Master-only progress state (the master is the resolver's only caller,
+  // so none of this is shared).
+  std::uint64_t submitted = 0;  ///< fully registered
+  std::uint64_t completed = 0;  ///< released (== completion entries consumed)
+  std::size_t appended = 0;     ///< queue entries written (>= tail)
+  /// Reusable grant buffer for ShardedResolver::finish.
+  std::vector<std::uint64_t> grants;
+
+  /// Per-worker state (slot w written only by worker w — the inline
+  /// master uses slot 0). The accounting is read after the pool is joined.
+  struct WorkerSlot {
+    /// Set under qmu when the worker takes a task and cleared when its
+    /// kernel returns; publish() reads it under qmu. A worker inside a
+    /// kernel cannot take new work, however long the kernel runs.
+    chk::Atomic<bool> in_kernel{false};
+    double busy_ns = 0.0;      ///< kernel time
+    std::uint64_t units = 0;   ///< calibrated work units executed
+    util::RunningStats turnaround;
+  };
+  std::unique_ptr<WorkerSlot[]> slots;
+  /// Per-worker kernel bodies (slot w used only by worker w).
   std::vector<KernelBody> kernels;
-  std::vector<std::uint64_t> worker_units;
-  /// Per-worker reusable grant buffer for ShardedResolver::finish — the
-  /// release path runs once per task and must not allocate (slot w used
-  /// only by worker w; the inline master uses slot 0).
-  std::vector<std::vector<std::uint64_t>> finish_scratch;
 
   core::ExecutionObserver* observer = nullptr;
 
@@ -97,123 +121,190 @@ struct ThreadedExecutor::Impl {
   std::uint32_t master_track = 0;
   std::uint32_t worker_track0 = 0;
 
-  // NEXUS_HOT_PATH
-  void enqueue(const std::uint64_t* gids, std::size_t count) {
-    if (count == 0) return;
-    std::size_t depth = 0;
-    {
-      const std::lock_guard<chk::Mutex> lock(qmu);
-      const util::LockRankGuard rank(util::LockDomain::kRunQueue);
-      // Deque growth is chunked/amortized.  // nexus-lint: allow(hot-path-alloc)
-      for (std::size_t i = 0; i < count; ++i) ready.push_back(gids[i]);
-      depth = ready.size();
-      queue_peak = std::max(queue_peak, depth);
-    }
-    if (rec != nullptr) {
-      // Attributed to whichever thread pushed (master or a worker).
-      obs::record_here(obs::EventKind::kReadyDepth, obs::here_now_ns(), 0.0,
-                       0, depth);
-    }
-    if (count == 1) {
-      qcv.notify_one();
-    } else {
-      qcv.notify_all();
-    }
+  [[nodiscard]] std::uint64_t in_flight() const {
+    return submitted - completed;
   }
 
-  /// Executes one ready task on worker `widx`: spin kernel, completion
-  /// event, access release, dependant kick-off. The completion event fires
-  /// *before* releases so recorded completion order stays oracle-valid.
-  // NEXUS_HOT_PATH
-  void run_one(std::uint64_t gid, std::uint32_t widx) {
+  /// Runs one task's kernel on worker `widx` (the inline master is worker
+  /// 0). The completion event fires here, before the master releases the
+  /// task's accesses, so recorded completion order stays oracle-valid.
+  void run_kernel(std::uint64_t gid, std::uint32_t widx) {
     if (observer != nullptr) observer->on_started(serials[gid], widx);
     const auto t0 = Clock::now();
     double obs_run0 = 0.0;
     if (rec != nullptr) obs_run0 = rec->now_ns();
-    worker_units[widx] += kernels[widx].run(exec_ns[gid], serials[gid]);
-    if (observer != nullptr) observer->on_completed(serials[gid], widx);
-    double obs_mid = 0.0;
-    if (rec != nullptr) {
-      obs_mid = rec->now_ns();
-      rec->record(worker_track0 + widx, obs::EventKind::kRun, obs_run0,
-                  obs_mid - obs_run0, serials[gid], 0);
-    }
-    auto& released = finish_scratch[widx];
-    resolver->finish(gid, released);
+    WorkerSlot& slot = slots[widx];
+    slot.units += kernels[widx].run(exec_ns[gid], serials[gid]);
     const auto t1 = Clock::now();
-
-    worker_turnaround[widx].add(elapsed_ns(submitted_at[gid], t1));
-    worker_busy[widx] += elapsed_ns(t0, t1);
-    // Release: the master's drained-retry protocol reads this counter
-    // (acquire) and relies on the space this finish freed being visible
-    // once the decrement is.
-    const std::int64_t now_in_flight =
-        in_flight.fetch_sub(1, std::memory_order_release) - 1;
+    if (observer != nullptr) observer->on_completed(serials[gid], widx);
     if (rec != nullptr) {
-      const std::uint32_t wt = worker_track0 + widx;
-      const double obs_end = rec->now_ns();
-      rec->record(wt, obs::EventKind::kRelease, obs_mid, obs_end - obs_mid,
-                  serials[gid], 0);
-      rec->record(wt, obs::EventKind::kFinish, obs_end, 0.0, serials[gid], 0);
-      // One grant instant per dependant this finish made runnable; the
-      // granter's serial is the edge the critical-path analysis walks.
-      for (std::size_t i = 0; i < released.size(); ++i) {
-        rec->record(wt, obs::EventKind::kReady, obs_end, 0.0,
-                    serials[released[i]], serials[gid]);
+      rec->record(worker_track0 + widx, obs::EventKind::kRun, obs_run0,
+                  rec->now_ns() - obs_run0, serials[gid], 0);
+    }
+    slot.turnaround.add(elapsed_ns(submitted_at[gid], t1));
+    slot.busy_ns += elapsed_ns(t0, t1);
+  }
+
+  /// Worker side of the completion channel: append, publish, and wake the
+  /// master only if it is parked waiting for completions.
+  // NEXUS_HOT_PATH
+  void post_completion(std::uint64_t gid) {
+    const util::NoAllocScope no_alloc("ThreadedExecutor::post_completion");
+    bool wake_master = false;
+    {
+      const std::lock_guard<chk::Mutex> lock(cmu);
+      const util::LockRankGuard rank(util::LockDomain::kCompletion);
+      // Relaxed: appends are serialized by cmu; the release store below
+      // publishes the entry to the master's lock-free reads.
+      const std::uint64_t n = posted.load(std::memory_order_relaxed);
+      completions[n] = gid;
+      posted.store(n + 1, std::memory_order_release);
+      wake_master = master_parked;
+    }
+    if (wake_master) ccv.notify_one();
+  }
+
+  /// Call with qmu held: claims one wake-up if some parked worker has not
+  /// been notified yet.
+  [[nodiscard]] bool claim_wake() {
+    if (parked == signaled) return false;
+    ++signaled;
+    return true;
+  }
+
+  /// Call with qmu held: true when no worker will take queued work
+  /// without a wake-up, because every worker is either parked and not yet
+  /// notified or inside a kernel. A worker between kernels is about to pop,
+  /// and a notified one is about to run.
+  [[nodiscard]] bool none_free() const {
+    std::uint32_t free = workers - parked + signaled;
+    for (std::uint32_t w = 0; w < workers && free > 0; ++w) {
+      // Relaxed: set under qmu (held here); a stale `true` after the
+      // kernel returned only costs a spare wake-up.
+      if (slots[w].in_kernel.load(std::memory_order_relaxed)) --free;
+    }
+    return free == 0;
+  }
+
+  /// Worker `widx`: pops the next ready task into `gid`, parking while the
+  /// queue is empty. Returns false once the pool shuts down with the queue
+  /// drained.
+  bool pop(std::uint64_t& gid, std::uint32_t widx) {
+    bool chain_wake = false;
+    {
+      std::unique_lock<chk::Mutex> lock(qmu);
+      const util::LockRankGuard rank(util::LockDomain::kRunQueue);
+      if (head == tail && !done) {
+        ++parked;
+        bool woke = false;
+        qcv.wait(lock, [this, &woke] {
+          // Every return from a wait retires one pending wake-up, even if
+          // the task was taken meanwhile and the worker waits again.
+          if (woke && signaled > 0) --signaled;
+          woke = true;
+          return done || head != tail;
+        });
+        --parked;
       }
-      rec->record(wt, obs::EventKind::kInFlight, obs_end, 0.0, 0,
-                  static_cast<std::uint64_t>(
-                      now_in_flight > 0 ? now_in_flight : 0));
+      if (head == tail) return false;
+      gid = queue[head++];
+      // Relaxed: published to publish() by qmu.
+      slots[widx].in_kernel.store(true, std::memory_order_relaxed);
+      // Chain wake: the master wakes a worker only when none is free, so
+      // a worker that leaves work behind passes the wake on.
+      chain_wake = head != tail && claim_wake();
     }
-    if (!released.empty()) enqueue(released.data(), released.size());
-    // Release so the load chain below (and the master's acquire reads of
-    // the final count) also see this task's bookkeeping writes.
-    const std::uint64_t now_completed =
-        completed.fetch_add(1, std::memory_order_release) + 1;
-    // Acquire pairs with the master's end-of-stream release store.
-    if (now_completed >= target.load(std::memory_order_acquire)) {
-      // Possibly the last task: wake everyone (workers exit, master stops
-      // waiting). `done` itself is flipped by the master.
-      qcv.notify_all();
-    }
+    if (chain_wake) qcv.notify_one();
+    return true;
   }
 
   void worker_loop(std::uint32_t widx) {
-    // Bind this worker's track so layers below (resolver shard waits)
-    // attribute to it; inert when tracing is off.
-    const obs::ThreadTrackScope obs_scope(rec, worker_track0 + widx);
-    for (;;) {
-      std::uint64_t gid;
-      {
-        std::unique_lock<chk::Mutex> lock(qmu);
-        const util::LockRankGuard rank(util::LockDomain::kRunQueue);
-        qcv.wait(lock, [this] { return done || !ready.empty(); });
-        if (ready.empty()) return;  // done and drained
-        gid = ready.front();
-        ready.pop_front();
-        ++running;
-      }
-      run_one(gid, widx);
-      {
-        const std::lock_guard<chk::Mutex> lock(qmu);
-        const util::LockRankGuard rank(util::LockDomain::kRunQueue);
-        --running;
-      }
+    std::uint64_t gid = 0;
+    while (pop(gid, widx)) {
+      run_kernel(gid, widx);
+      slots[widx].in_kernel.store(false, std::memory_order_relaxed);
+      post_completion(gid);
     }
   }
 
-  /// Call with `qmu` held. True when the graph can never progress again:
-  /// tasks remain in flight but none is ready and no worker is mid-task —
-  /// grants only come out of run_one, so this state is permanent. It
-  /// cannot fire spuriously: a worker between claiming a task and
-  /// finishing its releases keeps `running` nonzero (a legitimately long
-  /// kernel therefore never trips it), and run_one enqueues released
-  /// dependants *before* the claiming worker drops `running`.
-  [[nodiscard]] bool wedged() const {
-    // Acquire: pairs with run_one's release decrement (predicate accuracy
-    // depends on seeing finishes that already released their tasks).
-    return ready.empty() && running == 0 &&
-           in_flight.load(std::memory_order_acquire) > 0;
+  /// Master: releases completed task `gid` (the Maestro's Handle Finished
+  /// step) and appends the tasks it made ready to the unpublished tail of
+  /// the run queue.
+  // NEXUS_HOT_PATH
+  void release(std::uint64_t gid) {
+    const double obs0 = rec != nullptr ? rec->now_ns() : 0.0;
+    resolver->finish(gid, grants);
+    for (const std::uint64_t granted : grants) queue[appended++] = granted;
+    ++completed;
+    if (rec != nullptr) {
+      const double obs_end = rec->now_ns();
+      rec->record(master_track, obs::EventKind::kRelease, obs0, obs_end - obs0,
+                  serials[gid], 0);
+      rec->record(master_track, obs::EventKind::kFinish, obs_end, 0.0,
+                  serials[gid], 0);
+      // One grant instant per dependant this finish made runnable; the
+      // granter's serial is the edge the critical-path analysis walks.
+      for (const std::uint64_t granted : grants) {
+        rec->record(master_track, obs::EventKind::kReady, obs_end, 0.0,
+                    serials[granted], serials[gid]);
+      }
+      rec->record(master_track, obs::EventKind::kInFlight, obs_end, 0.0, 0,
+                  in_flight());
+    }
+  }
+
+  /// Master: releases every completion posted so far, without blocking.
+  // NEXUS_HOT_PATH
+  void release_posted() {
+    const util::NoAllocScope no_alloc("ThreadedExecutor::release_posted");
+    // Acquire: pairs with post_completion's release store, so the entries
+    // below it are visible.
+    const std::uint64_t n = posted.load(std::memory_order_acquire);
+    while (completed < n) release(completions[completed]);
+  }
+
+  /// Master: publishes the appended run-queue entries under one lock and
+  /// wakes a worker only when none is free to take them (a free worker
+  /// takes the work itself and chain-wakes if it leaves some behind).
+  void publish() {
+    if (appended == tail) return;  // tail is master-written: no race
+    std::size_t depth = 0;
+    bool wake = false;
+    {
+      const std::lock_guard<chk::Mutex> lock(qmu);
+      const util::LockRankGuard rank(util::LockDomain::kRunQueue);
+      tail = appended;
+      depth = tail - head;
+      queue_peak = std::max(queue_peak, depth);
+      wake = parked > signaled && none_free() && claim_wake();
+    }
+    if (rec != nullptr) {
+      obs::record_here(obs::EventKind::kReadyDepth, obs::here_now_ns(), 0.0,
+                       0, depth);
+    }
+    if (wake) qcv.notify_one();
+  }
+
+  /// Master: blocks until at least one unreleased completion is posted.
+  /// Call only with dispatched work outstanding (appended > completed).
+  void wait_for_completion() {
+    publish();
+    // Relaxed: a hint only; release_posted() does the acquire read.
+    if (posted.load(std::memory_order_relaxed) > completed) return;
+    std::unique_lock<chk::Mutex> lock(cmu);
+    const util::LockRankGuard rank(util::LockDomain::kCompletion);
+    master_parked = true;
+    // Relaxed: the value is written under cmu, which this wait holds.
+    ccv.wait(lock, [this] {
+      return posted.load(std::memory_order_relaxed) > completed;
+    });
+    master_parked = false;
+  }
+
+  /// Tasks dispatched (or about to be) whose release is still pending:
+  /// their completions are the only events that can unblock the master.
+  [[nodiscard]] std::uint64_t outstanding() const {
+    return appended - completed;
   }
 };
 
@@ -233,21 +324,21 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
   }
   used_ = true;
 
+  const bool inline_mode = config_.threads == 1;
   Impl& im = *impl_;
   im.expected = stream->total_tasks();
-  // Relaxed: workers have not been spawned yet (thread creation orders
-  // this store before anything they run).
-  im.target.store(im.expected, std::memory_order_relaxed);
+  im.workers = inline_mode ? 0 : config_.threads;
   im.observer = config_.observer;
   im.resolver = std::make_unique<ShardedResolver>(config_.resolver_config(),
                                                   im.expected);
   im.serials.resize(im.expected);
   im.exec_ns.resize(im.expected);
   im.submitted_at.resize(im.expected);
-  im.worker_busy.assign(config_.threads, 0.0);
-  im.worker_turnaround.assign(config_.threads, {});
-  im.finish_scratch.assign(config_.threads, {});
-  im.worker_units.assign(config_.threads, 0);
+  // Both logs hold one entry per task, so posting and dispatching never
+  // allocate (ShardedResolver::finish sizes the grant buffer once).
+  im.queue.resize(im.expected);
+  if (!inline_mode) im.completions.resize(im.expected);
+  im.slots = std::make_unique<Impl::WorkerSlot[]>(config_.threads);
   // Kernel state (stream buffers, matmul tiles) is built here, before any
   // worker thread exists: each body is then touched by exactly one worker.
   im.kernels.reserve(config_.threads);
@@ -272,7 +363,6 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
   report.banks = config_.banks;
   report.sync_mode = config_.sync;
 
-  const bool inline_mode = config_.threads == 1;
   std::vector<std::thread> pool;
   // Fork/join happens-before edges for the race checker — without them a
   // checker session would flag the master's post-join reads of worker
@@ -317,7 +407,7 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
   }
 
   // The master binds its own track for resolver-level events raised while
-  // registering tasks (and, inline, while draining them).
+  // registering and releasing tasks.
   const obs::ThreadTrackScope obs_scope(rec, im.master_track);
 
   // Force the one-time spin calibration (>= 1 ms) before the clock starts:
@@ -329,16 +419,41 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
   (void)kernel_unit_ns(config_.kernel.kind);
 
   const auto run_start = Clock::now();
-  std::uint64_t submitted = 0;
   double total_exec_ns = 0.0;
   const auto abort_run = [&](std::string why) {
     report.deadlocked = true;
     report.diagnosis = std::move(why);
   };
+  // Only the master grants tasks, so "tasks in flight but none dispatched
+  // and unreleased" can never change again: exact, lock-free diagnosis.
+  const auto abort_wedged = [&] {
+    abort_run("internal deadlock: " + std::to_string(im.in_flight()) +
+              " task(s) in flight but none ready or running");
+  };
+  // One step of waiting for completions. Inline: run the oldest ready
+  // task's kernel and release it here. Pooled: release what the workers
+  // posted, blocking until there is something. `waited` runs between the
+  // wait and the release work.
+  const auto await_completions = [&im, inline_mode](const auto& waited) {
+    if (inline_mode) {
+      im.publish();
+      const std::uint64_t next_gid = im.queue[im.head++];
+      im.run_kernel(next_gid, 0);
+      waited();
+      im.release(next_gid);
+      im.publish();
+    } else {
+      im.wait_for_completion();
+      waited();
+      im.release_posted();
+    }
+  };
 
-  // --- Master: pull, register, enqueue ---------------------------------------
+  // --- Master: release, pull, register, dispatch -----------------------------
   std::uint64_t gid = 0;
   while (!report.deadlocked) {
+    if (!inline_mode) im.release_posted();
+    im.publish();
     auto record = stream->next();
     if (!record.has_value()) break;
     if (gid >= im.expected) {
@@ -354,18 +469,10 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
     auto session = im.resolver->begin_submit(gid, record->serial, record->fn,
                                              std::move(record->params));
     const auto submit_start = Clock::now();
-    // Stamped before any shard sees the task: a dependant-free projection
-    // can be kicked ready (and start running) while later shards are still
-    // being registered, and the worker reads this timestamp.
+    // Stamped before the task can be dispatched; the worker that runs it
+    // reads this timestamp.
     im.submitted_at[gid] = submit_start;
     double task_stall_ns = 0.0;  // time not spent registering this task
-    // Set when a stall was observed with nothing in flight: one more
-    // advance() decides between "the last finish freed space between our
-    // two observations" (it races the in-flight counter) and a genuine
-    // capacity deadlock. Space freed by a finish is visible before its
-    // in-flight decrement, so a stall *after* reading in_flight == 0 is
-    // conclusive.
-    bool drained_retry = false;
     for (;;) {
       const double obs_seg0 = rec != nullptr ? rec->now_ns() : 0.0;
       const auto progress = session.advance();
@@ -380,171 +487,96 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
         abort_run("structural deadlock: " + session.failure());
         break;
       }
-      // Stalled on table/pool space. If nothing is in flight, no finish
-      // can ever free space: that is a capacity deadlock, not a wait.
+      // Stalled on table/pool space. Every finish runs on this thread, so
+      // with nothing in flight no space can ever be freed: conclusive.
+      if (im.in_flight() == 0) {
+        abort_run("capacity deadlock: task " + std::to_string(record->serial) +
+                  " cannot be registered (dependence table / task pool too "
+                  "small) and nothing is in flight to free space");
+        break;
+      }
+      if (im.outstanding() == 0) {
+        abort_wedged();
+        break;
+      }
       const auto stall_start = Clock::now();
       const double obs_stall0 = rec != nullptr ? rec->now_ns() : 0.0;
-      if (inline_mode && !im.ready.empty()) {
-        // Single thread: drain one ready task ourselves to free space.
-        const std::uint64_t next_gid = im.ready.front();
-        im.ready.pop_front();
-        im.run_one(next_gid, 0);
-      } else if (im.in_flight.load(std::memory_order_acquire) == 0) {
-        // (Acquire above pairs with run_one's release decrement: a zero
-        // read means every prior finish's freed space is visible to the
-        // re-driven advance(), which is what makes the diagnosis exact.)
-        if (!drained_retry) {
-          drained_retry = true;  // re-drive once against the drained state
-        } else {
-          abort_run("capacity deadlock: task " +
-                    std::to_string(record->serial) +
-                    " cannot be registered (dependence table / task pool "
-                    "too small) and nothing is in flight to free space");
-          break;
+      await_completions([&] {
+        // The stall span ends where release work begins, so the release
+        // spans that follow stay disjoint from it.
+        if (rec != nullptr) {
+          rec->record(im.master_track, obs::EventKind::kStall, obs_stall0,
+                      rec->now_ns() - obs_stall0, record->serial, 0);
         }
-      } else {
-        drained_retry = false;
-        if (inline_mode) {
-          abort_run("internal deadlock: tasks in flight but none ready");
-          break;
-        }
-        bool wedged;
-        {
-          const std::lock_guard<chk::Mutex> lock(im.qmu);
-          const util::LockRankGuard rank(util::LockDomain::kRunQueue);
-          wedged = im.wedged();
-        }
-        if (wedged) {
-          // Would otherwise spin on wait_for_space forever: the contract
-          // is a diagnosis, never a hang.
-          // Relaxed: diagnostic text only.
-          abort_run("internal deadlock: " +
-                    std::to_string(im.in_flight.load(
-                        std::memory_order_relaxed)) +
-                    " task(s) in flight but none ready or running");
-          break;
-        }
-        im.resolver->wait_for_space(session.stalled_shard(),
-                                    std::chrono::microseconds(200));
-      }
+      });
       task_stall_ns += elapsed_ns(stall_start, Clock::now());
-      if (rec != nullptr) {
-        rec->record(im.master_track, obs::EventKind::kStall, obs_stall0,
-                    rec->now_ns() - obs_stall0, record->serial, 0);
-      }
     }
     if (report.deadlocked) break;
 
     const auto now = Clock::now();
     report.submit_stall_ns += task_stall_ns;
     report.submit_busy_ns += elapsed_ns(submit_start, now) - task_stall_ns;
-    // Relaxed: master is the only incrementer; visibility to workers
-    // rides the run-queue mutex taken by enqueue().
-    const std::int64_t now_in_flight =
-        im.in_flight.fetch_add(1, std::memory_order_relaxed) + 1;
-    ++submitted;
+    ++im.submitted;
     if (rec != nullptr) {
       const double obs_now = rec->now_ns();
       rec->record(im.master_track, obs::EventKind::kInFlight, obs_now, 0.0,
-                  0, static_cast<std::uint64_t>(now_in_flight));
+                  0, im.in_flight());
       if (session.ready()) {
         // Runnable straight from submission: no granting predecessor.
         rec->record(im.master_track, obs::EventKind::kReady, obs_now, 0.0,
                     record->serial, obs::kNoPred);
       }
     }
-    if (session.ready()) im.enqueue(&gid, 1);
+    // Dispatched with the next publish (top of the loop, or before the
+    // master blocks).
+    if (session.ready()) im.queue[im.appended++] = gid;
     ++gid;
   }
 
-  // Stream exhausted (or aborted): completions now end the run. Release
-  // pairs with the workers' acquire load in run_one — a worker that sees
-  // the final target also sees every submission behind it.
-  im.target.store(submitted, std::memory_order_release);
-
-  if (inline_mode) {
-    // Relaxed: single-threaded inline loop — this thread wrote the value.
-    while (im.completed.load(std::memory_order_relaxed) < submitted &&
-           !im.ready.empty()) {
-      const std::uint64_t next_gid = im.ready.front();
-      im.ready.pop_front();
-      im.run_one(next_gid, 0);
+  // --- Stream exhausted (or aborted): release until everything completed ----
+  im.publish();
+  while (!report.deadlocked && im.completed < im.submitted) {
+    if (im.outstanding() == 0) {
+      abort_wedged();
+      break;
     }
-    if (!report.deadlocked &&
-        im.completed.load(std::memory_order_relaxed) < submitted) {
-      abort_run("internal deadlock: " +
-                std::to_string(submitted - im.completed.load(
-                                               std::memory_order_relaxed)) +
-                " task(s) never became ready");
-    }
-  } else {
-    // Wait for the workers to drain everything, polling the wedge
-    // predicate: if tasks remain but none is ready or running, the graph
-    // can never progress (a bug, not a capacity condition) and we abort
-    // with a diagnosis instead of hanging CI. A legitimately long kernel
-    // keeps `running` nonzero, so honoring arbitrary trace durations
-    // never trips this.
-    {
-      std::unique_lock<chk::Mutex> lock(im.qmu);
-      const util::LockRankGuard rank(util::LockDomain::kRunQueue);
-      // Acquire on `completed` pairs with the workers' release increments
-      // so exiting the wait implies every completion's writes are visible;
-      // `target` is this thread's own store (relaxed re-read).
-      while (im.completed.load(std::memory_order_acquire) <
-                 im.target.load(std::memory_order_relaxed) &&
-             !report.deadlocked) {
-        im.qcv.wait_for(lock, std::chrono::milliseconds(50));
-        if (im.wedged()) {
-          // Relaxed: diagnostic text only.
-          abort_run("internal deadlock: " +
-                    std::to_string(im.in_flight.load(
-                        std::memory_order_relaxed)) +
-                    " task(s) in flight but none ready or running");
-        }
-      }
-    }
-    shutdown_pool();
+    await_completions([] {});
   }
+  shutdown_pool();
 
   const double wall_ns = elapsed_ns(run_start, Clock::now());
 
   // --- Report -----------------------------------------------------------------
-  report.tasks_submitted = submitted;
-  // Acquire: the final report must observe every worker's completion
-  // (workers are joined by now in pool mode, but the inline path and the
-  // deadlocked early exits read this count directly).
-  report.tasks_completed = im.completed.load(std::memory_order_acquire);
+  report.tasks_submitted = im.submitted;
+  report.tasks_completed = im.completed;
   report.wall_ns = wall_ns;
   report.total_exec_ns = total_exec_ns;
   report.tasks_per_sec =
       wall_ns > 0.0
           ? static_cast<double>(report.tasks_completed) * 1e9 / wall_ns
           : 0.0;
-  report.worker_busy_ns = im.worker_busy;
-  report.worker_utilization.reserve(im.worker_busy.size());
   double busy_total = 0.0;
-  for (const double busy : im.worker_busy) {
-    report.worker_utilization.push_back(wall_ns > 0.0 ? busy / wall_ns : 0.0);
-    busy_total += busy;
+  for (std::uint32_t w = 0; w < config_.threads; ++w) {
+    const Impl::WorkerSlot& slot = im.slots[w];
+    report.worker_busy_ns.push_back(slot.busy_ns);
+    report.worker_utilization.push_back(
+        wall_ns > 0.0 ? slot.busy_ns / wall_ns : 0.0);
+    report.turnaround_ns.merge(slot.turnaround);
+    report.kernel_work_units += slot.units;
+    busy_total += slot.busy_ns;
   }
   report.avg_utilization =
       wall_ns > 0.0
           ? busy_total / (wall_ns * static_cast<double>(config_.threads))
           : 0.0;
-  for (const auto& stats : im.worker_turnaround) {
-    report.turnaround_ns.merge(stats);
-  }
   report.resolver = im.resolver->resolver_stats();
   report.tables = im.resolver->table_stats();
   report.sync = im.resolver->sync_stats();
   report.ready_queue_peak = im.queue_peak;
   report.kernel = config_.kernel.kind;
-  for (const std::uint64_t units : im.worker_units) {
-    report.kernel_work_units += units;
-  }
   if (!report.deadlocked && report.tasks_completed != report.tasks_expected) {
     report.deadlocked = true;
-    report.diagnosis = "stream ended after " + std::to_string(submitted) +
+    report.diagnosis = "stream ended after " + std::to_string(im.submitted) +
                        " of " + std::to_string(report.tasks_expected) +
                        " expected tasks";
   }

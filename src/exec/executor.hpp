@@ -2,17 +2,37 @@
 // ThreadedExecutor: a real concurrent StarSs executor — the first backend
 // that *runs* task graphs on worker threads instead of simulating them.
 //
-// One master (the calling thread) pulls TaskRecords from any
-// trace::TaskStream in submission order and registers them with the
-// exec::ShardedResolver (core::Resolver semantics behind
-// BankPartition-keyed shard locks). Ready tasks go to a shared FIFO run
-// queue; `threads` workers pop them, execute a spin-calibrated synthetic
-// kernel honoring the record's exec_time, then release the task's accesses
-// — kicking dependants into the queue. Capacity stalls block the master
-// until finishes free space, exactly like the Write-TP/Check-Deps stalls
-// of the simulated Maestro; a stall that can never resolve (nothing left
-// in flight, or a structural limit) terminates the run with a deadlock
-// diagnosis instead of hanging.
+// The roles follow the paper's Nexus++ split. The master (the calling
+// thread) is the Maestro: it pulls TaskRecords from any trace::TaskStream
+// in submission order, registers them with the exec::ShardedResolver
+// (core::Resolver semantics behind BankPartition-keyed shards), and is the
+// resolver's *only* caller — it also performs every release (the Maestro's
+// Handle Finished block) and dispatches the tasks a release makes ready.
+// The `threads` workers are the Task Controllers: each pops a ready task
+// from the shared FIFO run queue, runs a spin-calibrated synthetic kernel
+// honoring the record's exec_time, and posts the task's id on a completion
+// channel. Workers never touch the dependence tables, so the table cache
+// lines stay on the master's core and no worker ever waits on a shard.
+//
+// The master releases posted completions in batches: before each
+// registration (a cheap atomic check), and while stalled on table/pool
+// space (blocking only when nothing has been posted). Grants are published
+// to the run queue under one lock per batch.
+//
+// Wake rule. The master is the serial resource, so it rarely pays for a
+// futex wake: after publishing grants it wakes a parked worker only when
+// *no* worker is free to take them, i.e. every worker is either parked or
+// inside a kernel. A worker between kernels is about to pop the work
+// itself; a worker inside a kernel cannot, however long the kernel runs,
+// so queued work never waits behind a long kernel while a peer sleeps. A
+// worker that pops a task and leaves more behind wakes one parked peer (a
+// chain wake), so a burst of grants still fans out to every worker. A
+// worker notifies the master only when the master is parked.
+//
+// Deadlock diagnosis is exact and poll-free: only the master grants, so a
+// stall with nothing in flight, or tasks in flight with none dispatched and
+// unreleased, can never progress — the run terminates with a diagnosis
+// instead of hanging.
 //
 // threads == 1 runs a fully inline master-worker loop on the calling
 // thread: no concurrency, hence a *stable, reproducible completion order*
@@ -21,10 +41,11 @@
 // interleaving).
 //
 // The report carries real wall-clock results (tasks/sec, per-worker
-// utilization, shard-lock contention) next to the structural/hazard
+// kernel utilization, shard-lock contention) next to the structural/hazard
 // telemetry shared with the simulated engines; ordering evidence flows
-// through core::ExecutionObserver (on_completed fires before accesses are
-// released, so recorded completion order is always oracle-checkable).
+// through core::ExecutionObserver (on_completed fires on the worker before
+// the master releases the task's accesses, so recorded completion order is
+// always oracle-checkable).
 
 #include <cstdint>
 #include <memory>
@@ -91,13 +112,18 @@ struct ExecReport {
   double wall_ns = 0.0;        ///< run start to last completion
   double tasks_per_sec = 0.0;  ///< completed / wall seconds
   double total_exec_ns = 0.0;  ///< sum of kernel spin budgets (scaled)
-  std::vector<double> worker_busy_ns;     ///< per worker: kernel + release
+  /// Per worker: kernel time only. Releases run on the master; a traced
+  /// run shows them as `release` spans on the master track.
+  std::vector<double> worker_busy_ns;
   std::vector<double> worker_utilization; ///< per worker: busy / wall
   double avg_utilization = 0.0;
   /// Per-task turnaround (registration to kernel completion), wall ns.
   util::RunningStats turnaround_ns;
   double submit_busy_ns = 0.0;   ///< master time registering tasks
-  double submit_stall_ns = 0.0;  ///< master time blocked on table space
+  /// Master time stalled on table space: waiting for completions and
+  /// releasing them (inline: running ready tasks) until registration can
+  /// resume.
+  double submit_stall_ns = 0.0;
 
   // --- Resolution telemetry (same meaning as the simulated engines') --------
   core::Resolver::Stats resolver;

@@ -19,6 +19,7 @@ namespace {
 thread_local int tl_shard_locks = 0;
 thread_local int tl_run_queue_locks = 0;
 thread_local int tl_chk_locks = 0;
+thread_local int tl_completion_locks = 0;
 thread_local int tl_no_alloc_depth = 0;
 thread_local int tl_allow_alloc_depth = 0;
 thread_local const char* tl_no_alloc_label = nullptr;
@@ -35,6 +36,8 @@ int& counter_for(LockDomain domain) {
       return tl_run_queue_locks;
     case LockDomain::kChk:
       return tl_chk_locks;
+    case LockDomain::kCompletion:
+      return tl_completion_locks;
   }
   return tl_chk_locks;  // unreachable
 }
@@ -63,6 +66,10 @@ LockRankGuard::LockRankGuard(LockDomain domain) : domain_(domain) {
       invariant_fail("shard lock acquired while schedcheck lock is held",
                      "lock-rank");
     }
+    if (tl_completion_locks > 0) {
+      invariant_fail("shard lock acquired while completion lock is held",
+                     "lock-rank");
+    }
   } else if (domain == LockDomain::kRunQueue) {
     if (tl_run_queue_locks > 0) {
       invariant_fail("run-queue lock acquired recursively", "lock-rank");
@@ -73,6 +80,26 @@ LockRankGuard::LockRankGuard(LockDomain domain) : domain_(domain) {
     }
     if (tl_chk_locks > 0) {
       invariant_fail("run-queue lock acquired while schedcheck lock is held",
+                     "lock-rank");
+    }
+    if (tl_completion_locks > 0) {
+      invariant_fail("run-queue lock acquired while completion lock is held",
+                     "lock-rank");
+    }
+  } else if (domain == LockDomain::kCompletion) {
+    if (tl_completion_locks > 0) {
+      invariant_fail("completion lock acquired recursively", "lock-rank");
+    }
+    if (tl_shard_locks > 0) {
+      invariant_fail("completion lock acquired while a shard lock is held",
+                     "lock-rank");
+    }
+    if (tl_run_queue_locks > 0) {
+      invariant_fail("completion lock acquired while run-queue lock is held",
+                     "lock-rank");
+    }
+    if (tl_chk_locks > 0) {
+      invariant_fail("completion lock acquired while schedcheck lock is held",
                      "lock-rank");
     }
   } else {

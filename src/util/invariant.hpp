@@ -14,10 +14,13 @@
 //   atomicity is never needed *because* no operation spans two shards),
 //   (b) no thread holds a shard mutex and the executor's run-queue
 //   mutex at once (either order — the pair is what would make a
-//   lock-cycle possible at all), and (c) the schedcheck runtime's
-//   internal lock (kChk) is a leaf: instrumentation hooks fire *inside*
-//   shard / run-queue critical sections, so kChk may be taken while
-//   those are held, but never the reverse and never recursively.
+//   lock-cycle possible at all), (c) the executor's completion-channel
+//   mutex nests with neither of those two (workers post completions and
+//   the master waits for them outside every other lock), and (d) the
+//   schedcheck runtime's internal lock (kChk) is a leaf: instrumentation
+//   hooks fire *inside* shard / run-queue critical sections, so kChk may
+//   be taken while those are held, but never the reverse and never
+//   recursively.
 //
 //   No-alloc tripwire — NoAllocScope replaces the global operator new
 //   family with an aborting hook for the enclosing dynamic extent.
@@ -45,9 +48,10 @@ namespace nexuspp::util {
 /// checked rules are "no two held" per the matrix above), but keep shard
 /// lowest so a future ordered-rank rule can drop in without re-ranking.
 enum class LockDomain : int {
-  kShard = 0,     ///< a ShardedResolver shard mutex
-  kRunQueue = 1,  ///< ThreadedExecutor's run-queue mutex
-  kChk = 2,       ///< schedcheck runtime internals (src/chk session state)
+  kShard = 0,       ///< a ShardedResolver shard mutex
+  kRunQueue = 1,    ///< ThreadedExecutor's run-queue mutex
+  kChk = 2,         ///< schedcheck runtime internals (src/chk session state)
+  kCompletion = 3,  ///< ThreadedExecutor's completion-channel mutex
 };
 
 #if defined(NEXUSPP_CHECKED)

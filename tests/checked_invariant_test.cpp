@@ -157,6 +157,25 @@ TEST(CheckedInvariantsDeath, ShardUnderRunQueueLockAborts) {
       "nexuspp-checked: shard lock acquired while run-queue lock is held");
 }
 
+TEST(CheckedInvariantsDeath, CompletionUnderRunQueueLockAborts) {
+  EXPECT_DEATH(
+      {
+        const LockRankGuard queue(LockDomain::kRunQueue);
+        const LockRankGuard completion(LockDomain::kCompletion);
+      },
+      "nexuspp-checked: completion lock acquired while run-queue lock is "
+      "held");
+}
+
+TEST(CheckedInvariantsDeath, ShardUnderCompletionLockAborts) {
+  EXPECT_DEATH(
+      {
+        const LockRankGuard completion(LockDomain::kCompletion);
+        const LockRankGuard shard(LockDomain::kShard);
+      },
+      "nexuspp-checked: shard lock acquired while completion lock is held");
+}
+
 TEST(CheckedInvariantsDeath, HotPathAllocationAborts) {
   EXPECT_DEATH(
       {

@@ -1,8 +1,10 @@
 // The real concurrent executor (`exec-threads`): GraphOracle-validated
 // execution order across thread counts, bank (lock-shard) counts, both
 // match modes and several seeds; single-thread determinism; behaviour
-// under core oversubscription; capacity/structural deadlock diagnosis;
-// and the registry/report contract of the engine adapter.
+// under core oversubscription; master-side release while stalled on small
+// tables; park/wake churn; wake-ups while a worker is in a long kernel;
+// capacity/structural deadlock diagnosis; and the registry/report contract
+// of the engine adapter.
 //
 // The correctness claim differs from the simulated engines': reports are
 // wall-clock measurements (never bit-identical), so what is asserted is
@@ -13,8 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -27,6 +31,7 @@
 #include "engine/registry.hpp"
 #include "exec/executor.hpp"
 #include "exec/spin.hpp"
+#include "sim/time.hpp"
 #include "trace/io.hpp"
 #include "trace/trace.hpp"
 #include "workloads/library.hpp"
@@ -302,7 +307,7 @@ TEST(ExecThreads, CapacityDeadlockIsDiagnosed) {
   tasks[0].serial = 0;
   tasks[0].params = {core::out(0x1000), core::out(0x2000),
                      core::out(0x3000), core::out(0x4000)};
-  for (const std::uint32_t threads : {1u, 2u}) {
+  for (const std::uint32_t threads : {1u, 2u, 8u}) {
     SCOPED_TRACE(threads);
     exec::ExecConfig cfg;
     cfg.threads = threads;
@@ -315,6 +320,119 @@ TEST(ExecThreads, CapacityDeadlockIsDiagnosed) {
     EXPECT_NE(report.diagnosis.find("capacity deadlock"), std::string::npos)
         << report.diagnosis;
     EXPECT_EQ(report.tasks_completed, 0u);
+  }
+}
+
+TEST(ExecThreads, PooledMasterReleasesWhileStalled) {
+  // Tables far smaller than the graph, and 50 us kernels the master
+  // out-registers: it fills them, stalls, and must release the workers'
+  // completions to make room — the stall -> release -> re-advance cycle
+  // with workers running, which full-size tables never reach. The
+  // Dependence Table (12 entries; a task needs at most 8) is shrunk too,
+  // because resolver.stalls counts table-space stalls only.
+  const auto tasks = *workloads::WorkloadLibrary::builtins().make_trace(
+      "pattern:kind=random-nearest,width=8,steps=40,radius=3,task-ns=50000");
+  for (const std::uint32_t threads : {2u, 8u}) {
+    SCOPED_TRACE(threads);
+    exec::ExecConfig cfg;
+    cfg.threads = threads;
+    cfg.banks = 1;
+    cfg.task_pool_capacity = 32;
+    cfg.dep_table_capacity = 12;
+    const auto report = run_validated(tasks, cfg);
+    EXPECT_GT(report.resolver.stalls, 0u);
+    EXPECT_GT(report.submit_stall_ns, 0.0);
+  }
+}
+
+TEST(ExecThreads, ParkWakeChurnCompletes) {
+  // Zero-length kernels on a small graph: workers park and wake around
+  // nearly every task, and the master parks waiting for completions. A
+  // lost chain wake or master wake would hang a run here.
+  const auto tasks = small_dag(11, 64);
+  for (const std::uint32_t threads : {2u, 4u, 16u}) {
+    SCOPED_TRACE(threads);
+    exec::ExecConfig cfg;
+    cfg.threads = threads;
+    cfg.duration_scale = 0.0;
+    for (int run = 0; run < 200; ++run) {
+      const auto report = run_validated(tasks, cfg);
+      if (report.deadlocked || report.tasks_completed != tasks.size()) {
+        FAIL() << "run " << run << " did not complete";
+      }
+    }
+  }
+}
+
+/// Yields one long task, then — once that task's kernel has started and
+/// the other workers have had time to park — `shorts` independent short
+/// tasks.
+class LongThenShortStream final : public trace::TaskStream {
+ public:
+  LongThenShortStream(std::uint64_t shorts, const std::atomic<bool>& started)
+      : shorts_(shorts), started_(started) {}
+
+  std::optional<trace::TaskRecord> next() override {
+    if (cursor_ > shorts_) return std::nullopt;
+    trace::TaskRecord record;
+    record.serial = cursor_;
+    record.params = {core::out(0x1000 + 0x100 * cursor_)};
+    if (cursor_ == 0) {
+      record.exec_time = sim::ms(100);
+    } else {
+      record.exec_time = sim::us(1);
+      if (cursor_ == 1) {
+        while (!started_.load()) std::this_thread::yield();
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+    }
+    ++cursor_;
+    return record;
+  }
+
+  [[nodiscard]] std::uint64_t total_tasks() const override {
+    return shorts_ + 1;
+  }
+
+ private:
+  std::uint64_t shorts_;
+  const std::atomic<bool>& started_;
+  std::uint64_t cursor_ = 0;
+};
+
+TEST(ExecThreads, LongKernelDoesNotHoldBackIndependentWork) {
+  // One worker is inside a 100 ms kernel when independent short tasks
+  // become ready. That worker cannot take them, so the master must wake a
+  // parked one: some short task has to start before the long one ends.
+  struct Observer final : core::ExecutionObserver {
+    std::atomic<bool> long_started{false};
+    std::atomic<bool> long_completed{false};
+    std::atomic<std::uint64_t> started_during_long{0};
+    void on_started(std::uint64_t serial, std::uint32_t worker) override {
+      (void)worker;
+      if (serial == 0) {
+        long_started.store(true);
+      } else if (!long_completed.load()) {
+        started_during_long.fetch_add(1);
+      }
+    }
+    void on_completed(std::uint64_t serial, std::uint32_t worker) override {
+      (void)worker;
+      if (serial == 0) long_completed.store(true);
+    }
+  };
+  for (const std::uint32_t threads : {2u, 4u}) {
+    SCOPED_TRACE(threads);
+    Observer observer;
+    exec::ExecConfig cfg;
+    cfg.threads = threads;
+    cfg.observer = &observer;
+    exec::ThreadedExecutor executor(cfg);
+    const auto report = executor.run(
+        std::make_unique<LongThenShortStream>(100, observer.long_started));
+    EXPECT_FALSE(report.deadlocked) << report.diagnosis;
+    EXPECT_EQ(report.tasks_completed, 101u);
+    EXPECT_GT(observer.started_during_long.load(), 0u);
   }
 }
 

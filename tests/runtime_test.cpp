@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "runtime/runtime.hpp"
@@ -126,15 +127,23 @@ TEST(Runtime, WawKeepsWriteOrder) {
   int x = 0;
   std::vector<int> order;
   std::mutex m;
+  // The first writer holds until every writer is submitted: a WAW edge
+  // only exists against an unfinished writer, so without the gate the
+  // hazard count would depend on how fast the first tasks run.
+  std::atomic<bool> all_submitted{false};
   for (int i = 1; i <= 5; ++i) {
     rt.submit(
-        [&x, &order, &m, i] {
+        [&x, &order, &m, &all_submitted, i] {
+          if (i == 1) {
+            while (!all_submitted.load()) std::this_thread::yield();
+          }
           x = i;
           std::lock_guard lock(m);
           order.push_back(i);
         },
         {starss::out(&x)});
   }
+  all_submitted.store(true);
   rt.wait_all();
   EXPECT_EQ(x, 5);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
