@@ -19,21 +19,11 @@
 //                bound, the regime where the master's per-task
 //                registration and release cost decides throughput.
 //   fine-stream — ~100 ns kernels, wide fan-in (up to 6 params/task):
-//                kernels are noise, resolution *is* the workload. A
-//                second grid runs sync {mutex, lockfree} x threads {1..8}
-//                ({1..32} in full mode) on it, one series per sync mode.
-//                The master is the resolver's only caller, so neither
-//                backend is ever contended: the two series measure each
-//                backend's uncontended per-operation cost side by side.
+//                kernels are noise, resolution *is* the workload.
 //   tiled-cholesky — the application-shaped factorization DAG.
 //
-// Plotting the sync series from the CSV artifact
-// (NEXUSPP_BENCH_CSV=curve.csv ./bench_executor_throughput):
-// filter rows whose series starts with "fine-stream/sync-", then plot
-// exec_tasks_per_sec against the thread count in the label, one line per
-// series. exec_lock_contentions stays 0 on the mutex line and combiner
-// batches stay at size 1 on the lockfree line (every request runs on the
-// uncontended fast path).
+// NEXUSPP_BENCH_TIMELINE=out.json additionally records a task timeline of
+// the fine-stream 4-thread / 4-shard point (the CI artifact).
 //
 // Measured scaling is bounded by the *host's* cores — that is the point of
 // a real backend. On a starved host the wavefront rows still overlap
@@ -72,8 +62,7 @@ int run() {
   const auto fine_tasks = make_random_dag_trace(fine);
 
   // Resolution-bound: kernels of ~100 ns under a deep dependence web mean
-  // nearly all wall clock is spent inside the resolver shards — the
-  // regime where the shard synchronization backend is the bottleneck.
+  // nearly all wall clock is spent inside the resolver shards.
   workloads::RandomDagConfig fine_stream;
   fine_stream.num_tasks = bench::full_mode() ? 30'000 : 6'000;
   fine_stream.addr_space = 48;  // dense RAW/WAR/WAW web
@@ -102,7 +91,9 @@ int run() {
     return std::make_unique<trace::VectorStream>(chol_tasks);
   });
 
-  for (const char* workload : {"wavefront", "fine-dag", "tiled-cholesky"}) {
+  const bool want_timeline = std::getenv("NEXUSPP_BENCH_TIMELINE") != nullptr;
+  for (const char* workload :
+       {"wavefront", "fine-dag", "fine-stream", "tiled-cholesky"}) {
     bool first = true;
     for (const std::uint32_t banks : {1u, 4u}) {
       for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
@@ -111,6 +102,9 @@ int run() {
         p.workload = workload;
         p.params.threads = threads;
         p.params.banks = banks;
+        p.params.timeline.enabled = want_timeline &&
+                                    std::string(workload) == "fine-stream" &&
+                                    threads == 4 && banks == 4;
         p.series = std::string(workload) + "/real";
         p.baseline = first;
         first = false;
@@ -128,42 +122,6 @@ int run() {
       p.baseline = true;
       p.label = std::string(sim_engine) + " (simulated; 8w)";
       spec.point(p);
-    }
-  }
-
-  // The sync series: both shard-sync backends head to head on the
-  // resolution-bound stream, one series per backend so the CSV plots as
-  // two lines over thread count, on 4 shards.
-  {
-    std::vector<std::uint32_t> curve_threads = {1u, 2u, 4u, 8u};
-    if (bench::full_mode()) {
-      curve_threads.push_back(16u);
-      curve_threads.push_back(32u);
-    }
-    // NEXUSPP_BENCH_TIMELINE=out.json additionally records a task timeline
-    // on the 4-thread mutex point of this curve (the CI artifact).
-    const char* timeline_path = std::getenv("NEXUSPP_BENCH_TIMELINE");
-    for (const exec::SyncMode sync :
-         {exec::SyncMode::kMutex, exec::SyncMode::kLockFree}) {
-      bool first = true;
-      for (const std::uint32_t threads : curve_threads) {
-        engine::PointSpec p;
-        p.engine = "exec-threads";
-        p.workload = "fine-stream";
-        p.params.threads = threads;
-        p.params.banks = 4;
-        p.params.sync = sync;
-        p.params.timeline.enabled = timeline_path != nullptr &&
-                                    sync == exec::SyncMode::kMutex &&
-                                    threads == 4;
-        p.series = std::string("fine-stream/sync-") + exec::to_string(sync);
-        p.baseline = first;
-        first = false;
-        p.label = std::string(exec::to_string(sync)) + " x " +
-                  std::to_string(threads) +
-                  (threads == 1 ? " thread" : " threads");
-        spec.point(p);
-      }
     }
   }
 
@@ -196,20 +154,6 @@ int run() {
           return util::fmt_count(r.report.exec_lock_contentions) + "/" +
                  util::fmt_count(r.report.exec_lock_acquisitions);
         }},
-       {"combine avg/max",
-        [](const engine::SweepResult& r) {
-          if (r.report.exec_combined_batches == 0) return std::string("-");
-          const double avg =
-              static_cast<double>(r.report.exec_combined_requests) /
-              static_cast<double>(r.report.exec_combined_batches);
-          return util::fmt_f(avg, 1) + "/" +
-                 std::to_string(r.report.exec_max_combined_batch);
-        }},
-       {"CAS retry",
-        [](const engine::SweepResult& r) {
-          if (r.report.exec_sync != "lockfree") return std::string("-");
-          return util::fmt_count(r.report.exec_cas_retries);
-        }},
        {"worker util min-max",
         [](const engine::SweepResult& r) {
           const auto& per_worker = r.report.exec_worker_utilization;
@@ -226,9 +170,8 @@ int run() {
       "fine-dag and fine-stream are bound by the master, which registers "
       "and releases every task, so their tasks/sec moves little with "
       "threads beyond the first few, and the lock-contention column stays "
-      "at 0 (workers never touch the shards); the fine-stream/sync-* "
-      "series compare the two backends' uncontended cost and should sit "
-      "close together; worker utilization counts kernel time only; the "
+      "at 0 (workers never touch the shards); worker utilization counts "
+      "kernel time only; the "
       "simulated rows are predicted time for a machine with `workers` "
       "free cores, the yardstick the measured rows sit next to.");
   return 0;

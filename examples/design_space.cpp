@@ -13,11 +13,11 @@
 //
 // Usage: design_space [--workload=<spec>] [--trace=<file>]
 //                     [--param=workers|depth|tp|dt|kickoff|banks|threads|
-//                       sync|pattern|kernel]
+//                       pattern|kernel]
 //                     [--engine=nexus++|classic-nexus|nexus-banked|
 //                       software-rts|exec-threads]
 //                     [--match-mode=base-addr|range] [--banks=N]
-//                     [--threads=N] [--sync=mutex|lockfree]
+//                     [--threads=N]
 //                     [--kernel=spin|compute|memory|imbalance|dgemm]
 //                     [--gaussian-n=250] [--cores=64] [--sweep-threads=4]
 //                     [--csv] [--json] [--list-engines] [--list-workloads]
@@ -31,9 +31,7 @@
 //
 // --threads is an *engine* knob (exec-threads worker pool); the sweep
 // driver's own parallelism is --sweep-threads. --param=threads sweeps the
-// worker pool of the real backend (and defaults --engine accordingly);
-// --param=sync compares the resolver's mutex vs lock-free shard backends
-// at each worker count (also exec-threads).
+// worker pool of the real backend (and defaults --engine accordingly).
 //
 // --param=pattern sweeps the workload axis instead of an engine knob: all
 // nine task-bench dependence patterns (docs/WORKLOADS.md) at fixed engine
@@ -65,7 +63,7 @@ int main(int argc, char** argv) {
   // `--param=banks` / `--param=threads` work bare.
   const std::string engine_name = flags.get_or(
       "engine", param == "banks" ? "nexus-banked"
-                : param == "threads" || param == "sync" || param == "kernel"
+                : param == "threads" || param == "kernel"
                     ? "exec-threads"
                     : "nexus++");
   const auto cores = static_cast<std::uint32_t>(flags.get_int("cores", 64));
@@ -115,14 +113,6 @@ int main(int argc, char** argv) {
   }
   base.banks = static_cast<std::uint32_t>(flags.get_int("banks", 0));
   base.threads = static_cast<std::uint32_t>(flags.get_int("threads", 0));
-  if (const auto sync = flags.get("sync")) {
-    base.sync = exec::sync_mode_from_string(*sync);
-  }
-  if (base.sync.has_value() && engine_name != "exec-threads") {
-    std::cerr << "note: --sync is the exec-threads shard-synchronization "
-                 "knob (ignored by '"
-              << engine_name << "')\n";
-  }
   if (const auto kernel = flags.get("kernel")) {
     base.kernel = exec::kernel_kind_from_string(*kernel);
   }
@@ -204,22 +194,6 @@ int main(int argc, char** argv) {
     for (std::uint32_t t : {1u, 2u, 4u, 8u, 16u}) {
       add(std::to_string(t) + (t == 1 ? " thread" : " threads"),
           [t](engine::EngineParams& p) { p.threads = t; });
-    }
-  } else if (param == "sync") {
-    // Contention comparison: both shard backends at each worker count
-    // (fix the count with --threads=N to get a single head-to-head pair).
-    const auto fixed = static_cast<std::uint32_t>(flags.get_int("threads", 0));
-    const std::vector<std::uint32_t> counts =
-        fixed != 0 ? std::vector<std::uint32_t>{fixed}
-                   : std::vector<std::uint32_t>{2u, 4u, 8u};
-    for (const auto mode : {exec::SyncMode::kMutex, exec::SyncMode::kLockFree}) {
-      for (const std::uint32_t t : counts) {
-        add(std::string(exec::to_string(mode)) + " x" + std::to_string(t),
-            [mode, t](engine::EngineParams& p) {
-              p.sync = mode;
-              p.threads = t;
-            });
-      }
     }
   } else if (param == "pattern") {
     // Workload axis, not an engine knob: all nine task-bench dependence

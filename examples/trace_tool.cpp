@@ -8,12 +8,12 @@
 //   trace_tool generate <workload-spec> <out.nxt|out.nxb>
 //   trace_tool capture <workload-spec> <out.nxt|out.nxb>
 //              [--engine=...] [--cores=16] [--match-mode=base-addr|range]
-//              [--banks=N] [--threads=N] [--sync=mutex|lockfree]
+//              [--banks=N] [--threads=N]
 //              [--kernel=spin|compute|memory|imbalance|dgemm]
 //              [--timeline=out.json]
 //   trace_tool replay <file.nxt|file.nxb>
 //              [--engine=...] [--cores=16] [--match-mode=...] [--banks=N]
-//              [--threads=N] [--sync=mutex|lockfree] [--kernel=...]
+//              [--threads=N] [--kernel=...]
 //              [--timeline=out.json]
 //   trace_tool simulate ...        (alias of replay)
 //   trace_tool --list-engines | --list-workloads
@@ -25,9 +25,9 @@
 // additionally runs them through an engine and records the exact stream
 // the engine consumed, stamped with provenance metadata. `replay` feeds a
 // file back through an engine; engine, cores, match mode, banks, threads
-// (the exec-threads worker pool), sync (its shard backend) and kernel
-// (its per-task work body) all default to the values
-// recorded in the trace's own metadata (explicit flags win), so a bare
+// (the exec-threads worker pool) and kernel (its per-task work body) all
+// default to the values recorded in the trace's own metadata (explicit
+// flags win; meta keys the tool does not know are ignored), so a bare
 // `replay file` reproduces the captured run's report bit-identically —
 // for the simulated engines; an exec-threads replay re-*measures*.
 
@@ -143,9 +143,6 @@ engine::EngineParams params_for_run(const util::Flags& flags,
       flags.get_int("banks", meta_u32(meta, trace::TraceMeta::kBanks, 0)));
   params.threads = static_cast<std::uint32_t>(flags.get_int(
       "threads", meta_u32(meta, trace::TraceMeta::kThreads, 0)));
-  auto sync = flags.get("sync");
-  if (!sync) sync = meta.get(trace::TraceMeta::kSync);
-  if (sync) params.sync = exec::sync_mode_from_string(*sync);
   auto kernel = flags.get("kernel");
   if (!kernel) kernel = meta.get(trace::TraceMeta::kKernel);
   if (kernel) params.kernel = exec::kernel_kind_from_string(*kernel);

@@ -2,9 +2,9 @@
 // chk: the schedule-exploration / race-checking instrumentation seam
 // (layer 5 of docs/CORRECTNESS.md).
 //
-// Every synchronization operation the lock-free resolver layer performs —
-// atomic load/store/RMW/CAS, mutex acquire/release, condition-variable
-// wait/notify, epoch pin/unpin — goes through the thin wrappers below
+// Every synchronization operation the execution layer performs — atomic
+// load/store/RMW/CAS, mutex acquire/release, condition-variable
+// wait/notify — goes through the thin wrappers below
 // instead of the raw std primitives (enforced by the
 // `chk-instrumented-sync` lint rule over src/exec). The wrappers are the
 // *only* coupling between production code and the checking runtime:
@@ -54,9 +54,7 @@ enum class OpKind : std::uint8_t {
   kCondNotify,
   kPlainRead,   ///< annotated non-atomic read (protocol-protected data)
   kPlainWrite,  ///< annotated non-atomic write
-  kEpochPin,    ///< EpochDomain::Guard construction
-  kEpochUnpin,
-  kReclaim,     ///< epoch reclamation freeing an object
+  kReclaim,     ///< freeing an object other threads accessed
   kYield,       ///< cooperative backoff / blocked wait
 };
 
@@ -357,10 +355,9 @@ class ThreadLink {
 };
 
 /// Annotates a protocol-protected *non-atomic* access: data the design
-/// serializes via a mutex, the combiner flag, or the epoch protocol
-/// rather than via atomics (shard state, task-node local-id slots, the
-/// delegation ring's request pointers). These are the accesses the
-/// happens-before checker actually races-checks.
+/// serializes via a mutex or another happens-before protocol rather than
+/// via atomics (shard state, task-node local-id slots). These are the
+/// accesses the happens-before checker actually races-checks.
 inline void plain_read(const void* addr,
                        std::source_location loc =
                            std::source_location::current()) {
@@ -375,10 +372,10 @@ inline void plain_write(const void* addr,
   detail::plain_access(addr, true, loc);
 }
 
-/// Call before freeing epoch-reclaimed memory: verifies every recorded
-/// access to [base, base+len) happens-before the reclaiming thread (a
-/// violation is a use-after-reclaim — the epoch protocol failed), then
-/// retires the shadow state so a reused address cannot alias old history.
+/// Call before freeing memory other threads accessed: verifies every
+/// recorded access to [base, base+len) happens-before the reclaiming
+/// thread (a violation is a use-after-reclaim), then retires the shadow
+/// state so a reused address cannot alias old history.
 inline void reclaim_check(const void* base, std::size_t len,
                           std::source_location loc =
                               std::source_location::current()) {
@@ -386,21 +383,13 @@ inline void reclaim_check(const void* base, std::size_t len,
   detail::reclaim(base, len, loc);
 }
 
-/// Scheduling-only note (no happens-before effect): epoch pin/unpin and
-/// similar protocol landmarks worth a preemption opportunity + trace row.
-inline void sync_note(OpKind op, const void* addr,
-                      std::source_location loc =
-                          std::source_location::current()) {
-  detail::point(op, addr, loc);
-}
-
 /// RAII scope in which scheduling points swallow the controller's abort
 /// instead of throwing ScheduleAbort. Required around instrumented
 /// operations reached from destructors — implicitly noexcept, so a
-/// thrown abort would std::terminate (EpochDomain::Guard unpinning is
-/// the canonical site). The operations themselves still execute; the
-/// thread keeps cleaning up and exits the schedule at its next
-/// unshielded point or by finishing.
+/// thrown abort would std::terminate (e.g. an RAII guard whose destructor
+/// performs an instrumented atomic). The operations themselves still
+/// execute; the thread keeps cleaning up and exits the schedule at its
+/// next unshielded point or by finishing.
 class AbortShield {
  public:
   AbortShield() noexcept { detail::push_abort_shield(); }
@@ -460,7 +449,6 @@ class ThreadLink {
 inline void plain_read(const void*) noexcept {}
 inline void plain_write(const void*) noexcept {}
 inline void reclaim_check(const void*, std::size_t) noexcept {}
-inline void sync_note(OpKind, const void*) noexcept {}
 inline bool spin_yield() noexcept { return false; }
 
 class AbortShield {

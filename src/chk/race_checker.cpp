@@ -21,8 +21,6 @@ const char* to_string(OpKind kind) noexcept {
     case OpKind::kCondNotify: return "cond-notify";
     case OpKind::kPlainRead: return "plain-read";
     case OpKind::kPlainWrite: return "plain-write";
-    case OpKind::kEpochPin: return "epoch-pin";
-    case OpKind::kEpochUnpin: return "epoch-unpin";
     case OpKind::kReclaim: return "reclaim";
     case OpKind::kYield: return "yield";
   }
@@ -295,8 +293,6 @@ const char* to_string(OpKind kind) noexcept {
     case OpKind::kCondNotify: return "cond-notify";
     case OpKind::kPlainRead: return "plain-read";
     case OpKind::kPlainWrite: return "plain-write";
-    case OpKind::kEpochPin: return "epoch-pin";
-    case OpKind::kEpochUnpin: return "epoch-unpin";
     case OpKind::kReclaim: return "reclaim";
     case OpKind::kYield: return "yield";
   }

@@ -20,7 +20,7 @@
 //     pair is reported.
 // chk::reclaim_check(base, len) verifies every shadow access inside the
 // range happens-before the reclaiming thread (else: use-after-reclaim,
-// i.e. the epoch protocol let a reader overlap reclamation) and then
+// i.e. a reader overlapped the free) and then
 // purges the range so recycled addresses cannot alias old history.
 //
 // The checker never blocks and allocates only its own shadow state; the

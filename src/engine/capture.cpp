@@ -44,10 +44,6 @@ CapturedRun run_captured(const Engine& engine,
       out.trace.meta.set(trace::TraceMeta::kThreads,
                          std::to_string(params->threads));
     }
-    if (params->sync.has_value()) {
-      out.trace.meta.set(trace::TraceMeta::kSync,
-                         exec::to_string(*params->sync));
-    }
     if (params->kernel.has_value()) {
       out.trace.meta.set(trace::TraceMeta::kKernel,
                          exec::to_string(*params->kernel));

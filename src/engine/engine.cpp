@@ -57,7 +57,6 @@ std::string EngineParams::label() const {
     os << " match=" << core::to_string(*match_mode);
   }
   if (threads != 0) os << " threads=" << threads;
-  if (sync.has_value()) os << " sync=" << exec::to_string(*sync);
   if (kernel.has_value()) os << " kernel=" << exec::to_string(*kernel);
   if (timeline.enabled) os << " timeline=on";
   return os.str();
@@ -210,9 +209,6 @@ exec::ExecConfig ThreadedExecEngine::apply(exec::ExecConfig base,
   if (params.match_mode.has_value()) {
     base.match_mode = *params.match_mode;
   }
-  if (params.sync.has_value()) {
-    base.sync = *params.sync;
-  }
   if (params.kernel.has_value()) {
     base.kernel.kind = *params.kernel;
   }
@@ -262,18 +258,10 @@ RunReport ThreadedExecEngine::run(
   r.dt_lookup_probes = src.tables.lookup_probes;
   r.banks = src.banks;
   r.exec_tasks_per_sec = src.tasks_per_sec;
-  r.exec_sync = exec::to_string(src.sync_mode);
   r.exec_kernel = exec::to_string(src.kernel);
   r.exec_kernel_work_units = src.kernel_work_units;
   r.exec_lock_acquisitions = src.sync.lock_acquisitions;
   r.exec_lock_contentions = src.sync.lock_contentions;
-  r.exec_cas_retries = src.sync.cas_retries;
-  r.exec_combined_batches = src.sync.combined_batches;
-  r.exec_combined_requests = src.sync.combined_requests;
-  r.exec_max_combined_batch = src.sync.max_combined_batch;
-  r.exec_slot_claim_failures = src.sync.slot_claim_failures;
-  r.exec_epoch_advances = src.sync.epoch_advances;
-  r.exec_epoch_reclaimed = src.sync.epoch_reclaimed;
   r.exec_worker_utilization = src.worker_utilization;
   if (rec != nullptr) attach_timeline(r, std::move(*rec));
   return r;

@@ -56,10 +56,6 @@ struct EngineParams {
   /// engines ignore it). 0 defaults to num_workers, so worker-count sweeps
   /// drive the real backend with the same axis as the simulated ones.
   std::uint32_t threads = 0;
-  /// Shard serialization backend of the real executor's resolver
-  /// (`exec-threads` only): mutex locks vs the lock-free
-  /// delegation/combining design. nullopt keeps the default (mutex).
-  std::optional<exec::SyncMode> sync;
   /// Kernel body of the real executor (`exec-threads` only; simulated
   /// engines consume trace durations and ignore it): spin, compute,
   /// memory, imbalance or dgemm — see exec/kernels.hpp. nullopt keeps

@@ -46,23 +46,11 @@ void RunReport::register_metrics(obs::MetricsRegistry& registry) const {
                            static_cast<double>(turnaround_ns.count()),
                        {{0.50, qs[0]}, {0.95, qs[1]}, {0.99, qs[2]}});
   }
-  if (!exec_sync.empty() || exec_lock_acquisitions > 0) {
+  if (!exec_kernel.empty() || exec_lock_acquisitions > 0) {
     registry.counter("sync.lock_acquisitions",
                      static_cast<double>(exec_lock_acquisitions));
     registry.counter("sync.lock_contentions",
                      static_cast<double>(exec_lock_contentions));
-    registry.counter("sync.cas_retries",
-                     static_cast<double>(exec_cas_retries));
-    registry.counter("sync.combined_batches",
-                     static_cast<double>(exec_combined_batches));
-    registry.counter("sync.combined_requests",
-                     static_cast<double>(exec_combined_requests));
-    registry.counter("sync.slot_claim_failures",
-                     static_cast<double>(exec_slot_claim_failures));
-    registry.counter("sync.epoch_advances",
-                     static_cast<double>(exec_epoch_advances));
-    registry.counter("sync.epoch_reclaimed",
-                     static_cast<double>(exec_epoch_reclaimed));
   }
   if (exec_tasks_per_sec > 0.0) {
     registry.gauge("exec.tasks_per_sec", exec_tasks_per_sec);
@@ -155,7 +143,6 @@ util::Table RunReport::to_table(const std::string& title) const {
   if (exec_tasks_per_sec > 0.0) {
     t.row({"real throughput", util::fmt_f(exec_tasks_per_sec, 0) +
                                   " tasks/s (wall-clock)"});
-    if (!exec_sync.empty()) t.row({"shard sync mode", exec_sync});
     if (!exec_kernel.empty()) {
       t.row({"kernel body / work units",
              exec_kernel + " / " + util::fmt_count(exec_kernel_work_units)});
@@ -163,21 +150,6 @@ util::Table RunReport::to_table(const std::string& title) const {
     t.row({"shard locks taken / contended",
            util::fmt_count(exec_lock_acquisitions) + " / " +
                util::fmt_count(exec_lock_contentions)});
-    if (exec_combined_batches > 0) {
-      const double avg_batch =
-          static_cast<double>(exec_combined_requests) /
-          static_cast<double>(exec_combined_batches);
-      t.row({"combiner batches (avg / max size)",
-             util::fmt_count(exec_combined_batches) + " (" +
-                 util::fmt_f(avg_batch, 2) + " / " +
-                 util::fmt_count(exec_max_combined_batch) + ")"});
-      t.row({"CAS retries / claim failures",
-             util::fmt_count(exec_cas_retries) + " / " +
-                 util::fmt_count(exec_slot_claim_failures)});
-      t.row({"epoch advances / reclaimed",
-             util::fmt_count(exec_epoch_advances) + " / " +
-                 util::fmt_count(exec_epoch_reclaimed)});
-    }
     std::string workers;
     for (const auto frac : exec_worker_utilization) {
       if (!workers.empty()) workers += " ";
@@ -238,18 +210,10 @@ std::vector<std::string> RunReport::csv_header() {
           "bank_peak_live",
           "bank_max_live_per_bank",
           "exec_tasks_per_sec",
-          "exec_sync",
           "exec_kernel",
           "exec_kernel_work_units",
           "exec_lock_acquisitions",
           "exec_lock_contentions",
-          "exec_cas_retries",
-          "exec_combined_batches",
-          "exec_combined_requests",
-          "exec_max_combined_batch",
-          "exec_slot_claim_failures",
-          "exec_epoch_advances",
-          "exec_epoch_reclaimed",
           "exec_worker_utilization",
           "obs_critical_path_ns",
           "obs_critical_path_tasks",
@@ -304,18 +268,10 @@ std::vector<std::string> RunReport::csv_row() const {
             return packed;
           }(),
           f(exec_tasks_per_sec),
-          exec_sync,
           exec_kernel,
           std::to_string(exec_kernel_work_units),
           std::to_string(exec_lock_acquisitions),
           std::to_string(exec_lock_contentions),
-          std::to_string(exec_cas_retries),
-          std::to_string(exec_combined_batches),
-          std::to_string(exec_combined_requests),
-          std::to_string(exec_max_combined_batch),
-          std::to_string(exec_slot_claim_failures),
-          std::to_string(exec_epoch_advances),
-          std::to_string(exec_epoch_reclaimed),
           // Averaged to keep the column a single numeric cell; per-worker
           // values live in the JSON report (exec_worker_utilization_per_worker).
           util::fmt_f(exec_worker_utilization_avg(), 4),

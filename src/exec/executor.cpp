@@ -46,7 +46,6 @@ ShardedResolverConfig ExecConfig::resolver_config() const {
   cfg.table_capacity = dep_table_capacity;
   cfg.kick_off_capacity = kick_off_capacity;
   cfg.allow_dummies = allow_dummies;
-  cfg.sync = sync;
   return cfg;
 }
 
@@ -361,7 +360,6 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
   report.tasks_expected = im.expected;
   report.threads = config_.threads;
   report.banks = config_.banks;
-  report.sync_mode = config_.sync;
 
   std::vector<std::thread> pool;
   // Fork/join happens-before edges for the race checker — without them a

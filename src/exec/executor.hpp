@@ -74,9 +74,6 @@ struct ExecConfig {
   std::uint32_t dep_table_capacity = 65536;
   std::uint32_t kick_off_capacity = 8;
   bool allow_dummies = true;
-  /// Shard serialization backend (mutex lock vs delegation/combining —
-  /// see sharded_resolver.hpp).
-  SyncMode sync = SyncMode::kMutex;
   /// Multiplier on trace exec times (1.0 honors them; tests shrink it).
   double duration_scale = 1.0;
   /// Kernel body workers run per task (see exec/kernels.hpp). kSpin is
@@ -132,7 +129,6 @@ struct ExecReport {
   std::size_t ready_queue_peak = 0;
   std::uint32_t threads = 0;
   std::uint32_t banks = 0;
-  SyncMode sync_mode = SyncMode::kMutex;
   /// Kernel body that ran the tasks, and total calibrated work units it
   /// executed across all workers (0 under kSpin, whose model is time).
   KernelKind kernel = KernelKind::kSpin;

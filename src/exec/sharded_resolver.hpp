@@ -23,28 +23,17 @@
 // sections, and cross-shard atomicity is never needed: a shard's
 // grant/queue decisions depend only on its own tables.
 //
-// How a shard serializes its mutations is the ShardOps seam, selected by
-// the `sync` knob:
-//
-//   sync=mutex (default) — one std::mutex per shard, the PR-5 design.
-//
-//   sync=lockfree — no shard lock anywhere. Task-descriptor admission is
-//   a wait-free atomic claim against a combiner-published space snapshot
-//   (a failed claim *is* the stall signal — the thread never queues, never
-//   blocks). The mutations that genuinely rewrite hash chains flow
-//   through a per-shard flat-combining DelegationQueue (sync_queue.hpp):
-//   one thread drains a whole batch per combiner handoff instead of a
-//   lock convoy. Snapshots and grant-overflow blocks are reclaimed via
-//   epoch-based reclamation (epoch.hpp) so lock-free readers never touch
-//   freed memory. Techniques follow Álvarez et al. 2021 (PAPERS.md).
+// Each shard serializes its registration and release bodies with one
+// mutex. The master thread of ThreadedExecutor is the resolver's only
+// caller, so the lock is uncontended there; it still makes the resolver
+// safe to drive from several threads, and its census (acquisitions, and
+// acquisitions that found it held) plus a kLockWait timeline span on the
+// contended path show when that happens.
 //
 // Correctness inherits from the banked decomposition (bank/resolver.hpp):
 // conflicts are discovered in shared shards, every DC increment is matched
 // by a decrement from the same shard, and within a shard FIFO kick-off
 // order follows global submission order (submission is single-threaded).
-// Both sync modes run the identical per-shard registration/release logic
-// (one shared code path), so their resolver-level decisions are the same;
-// only the serialization mechanism differs.
 //
 // Capacity behaviour mirrors the timed Maestro: a full pool/table yields a
 // resumable stall (SubmitSession keeps its cursor; a retry never
@@ -56,7 +45,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -66,19 +54,8 @@
 #include "core/resolver.hpp"
 #include "core/task_pool.hpp"
 #include "core/types.hpp"
-#include "exec/epoch.hpp"
 
 namespace nexuspp::exec {
-
-/// Shard serialization backend (see file comment).
-enum class SyncMode : std::uint8_t {
-  kMutex,     ///< one mutex per shard
-  kLockFree,  ///< atomic slot claims + delegation queue + epochs
-};
-
-[[nodiscard]] const char* to_string(SyncMode mode) noexcept;
-/// Parses "mutex" / "lockfree"; throws std::invalid_argument otherwise.
-[[nodiscard]] SyncMode sync_mode_from_string(std::string_view text);
 
 struct ShardedResolverConfig {
   std::uint32_t shards = 1;          ///< lock/table shards ("banks" knob)
@@ -93,7 +70,6 @@ struct ShardedResolverConfig {
   std::uint32_t table_capacity = 65536;  ///< DT entries, split across shards
   std::uint32_t kick_off_capacity = 8;   ///< ids per kick-off list
   bool allow_dummies = true;  ///< dummy tasks + dummy entries
-  SyncMode sync = SyncMode::kMutex;
 
   /// Throws std::invalid_argument on zero shards/capacities or a bad
   /// region size (BankPartition::validate).
@@ -181,20 +157,10 @@ class ShardedResolver {
 
   // --- Telemetry (sums over shards; exact only when quiescent) ----------------
 
-  /// Synchronization-layer counters. The mutex backend fills the lock_*
-  /// pair; the lock-free backend fills the rest; both appear in RunReport
-  /// so sweeps can plot contention across sync modes with one schema.
+  /// Shard-lock census, summed over shards.
   struct SyncStats {
     std::uint64_t lock_acquisitions = 0;
     std::uint64_t lock_contentions = 0;  ///< acquisitions that found it held
-    std::uint64_t cas_retries = 0;       ///< failed claim/publish CASes
-    std::uint64_t combined_batches = 0;
-    std::uint64_t combined_requests = 0;
-    std::uint64_t max_combined_batch = 0;
-    std::uint64_t slot_claim_failures = 0;  ///< wait-free stall detections
-    std::uint64_t epoch_advances = 0;
-    std::uint64_t epoch_retired = 0;
-    std::uint64_t epoch_reclaimed = 0;
   };
   [[nodiscard]] SyncStats sync_stats() const;
 
@@ -214,17 +180,11 @@ class ShardedResolver {
   [[nodiscard]] std::uint32_t shard_count() const noexcept {
     return static_cast<std::uint32_t>(shards_.size());
   }
-  [[nodiscard]] SyncMode sync_mode() const noexcept { return sync_; }
-
-  /// One shard's serialization backend: the narrow seam between the
-  /// SubmitSession stall/retry state machine (sync-agnostic) and the
-  /// shard data structures (sync-specific). An implementation detail —
-  /// defined in the .cpp along with its mutex and lock-free backends;
-  /// declared here (and public) only so those backends can derive from
-  /// it.
-  class ShardOps;
-
  private:
+  /// One shard: its tables plus the mutex that serializes them (defined
+  /// in the .cpp).
+  class Shard;
+
   struct TaskNode {
     /// Shards whose projection has not yet granted this task. The task is
     /// ready exactly when this reaches zero; whoever decrements it to zero
@@ -237,15 +197,11 @@ class ShardedResolver {
 
   bank::BankPartition partition_;
   core::MatchMode match_mode_;
-  SyncMode sync_;
-  std::vector<std::unique_ptr<ShardOps>> shards_;
+  std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<TaskNode> nodes_;
   /// Descriptor slots over all shards: the most per-shard grant votes one
   /// finish() can collect.
   std::size_t grant_capacity_ = 0;
-  /// Reclamation domain shared by all lock-free shards (unused by mutex
-  /// shards); lives here so its lifetime covers every shard's retirees.
-  EpochDomain epoch_;
   /// Shard id -> group slot scratch for begin_submit's projection (the
   /// submit path is single-threaded; keeping this hot avoids per-task
   /// node-based containers on fine-grain workloads).

@@ -22,7 +22,7 @@
 namespace nexuspp::obs {
 
 enum class MetricKind : std::uint8_t {
-  kCounter,    ///< monotone event count (lock acquisitions, CAS retries)
+  kCounter,    ///< monotone event count (lock acquisitions, hazards)
   kGauge,      ///< point-in-time or averaged level (utilization, depth)
   kHistogram,  ///< distribution summary: count/sum plus quantile samples
 };

@@ -21,8 +21,6 @@ const char* to_string(EventKind kind) noexcept {
     case EventKind::kFinish: return "finish";
     case EventKind::kRelease: return "release";
     case EventKind::kLockWait: return "lock-wait";
-    case EventKind::kCombine: return "combine";
-    case EventKind::kEpochAdvance: return "epoch-advance";
     case EventKind::kInFlight: return "in-flight";
     case EventKind::kReadyDepth: return "ready-depth";
   }
@@ -39,8 +37,6 @@ const char* category(EventKind kind) noexcept {
     case EventKind::kRelease:
       return "task";
     case EventKind::kLockWait:
-    case EventKind::kCombine:
-    case EventKind::kEpochAdvance:
       return "sync";
     case EventKind::kInFlight:
     case EventKind::kReadyDepth:

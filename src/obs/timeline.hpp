@@ -37,8 +37,6 @@ enum class EventKind : std::uint8_t {
   kFinish,        ///< instant: task completion observed
   kRelease,       ///< span: dependence release / successor grant processing
   kLockWait,      ///< span: blocked acquiring a contended shard lock
-  kCombine,       ///< instant: combiner drained a delegation batch; arg = size
-  kEpochAdvance,  ///< instant: reclamation epoch advanced
   kInFlight,      ///< counter: tasks submitted but not yet finished
   kReadyDepth,    ///< counter: ready-queue depth after a push
 };

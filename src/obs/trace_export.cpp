@@ -136,8 +136,6 @@ void write_chrome_trace(const Timeline& timeline, std::ostream& out,
           } else {
             out << ",\"pred\":" << event.arg;
           }
-        } else if (event.kind == EventKind::kCombine) {
-          out << ",\"batch\":" << event.arg;
         }
         out << "}}";
       }

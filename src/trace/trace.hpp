@@ -92,7 +92,6 @@ class TraceMeta {
   static constexpr const char* kMatchMode = "match-mode";
   static constexpr const char* kBanks = "banks";
   static constexpr const char* kThreads = "threads";  ///< exec worker pool
-  static constexpr const char* kSync = "sync";  ///< exec shard sync backend
   static constexpr const char* kKernel = "kernel";  ///< exec kernel body
 
   /// Replaces the first entry with this key, or appends a new one.

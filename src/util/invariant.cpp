@@ -23,7 +23,6 @@ thread_local int tl_completion_locks = 0;
 thread_local int tl_no_alloc_depth = 0;
 thread_local int tl_allow_alloc_depth = 0;
 thread_local const char* tl_no_alloc_label = nullptr;
-thread_local int tl_epoch_pins = 0;
 // Re-entrancy latch: invariant_fail itself may allocate (fprintf can);
 // without this a failing allocation inside the failure path would recurse.
 thread_local bool tl_in_failure = false;
@@ -137,16 +136,6 @@ AllowAllocScope::AllowAllocScope(const char* /*reason*/) {
 }
 
 AllowAllocScope::~AllowAllocScope() { --tl_allow_alloc_depth; }
-
-void epoch_guard_acquired() { ++tl_epoch_pins; }
-void epoch_guard_released() { --tl_epoch_pins; }
-
-void assert_epoch_guard(const char* where) {
-  if (tl_epoch_pins <= 0) {
-    invariant_fail("epoch-protected memory dereferenced without a guard",
-                   where);
-  }
-}
 
 namespace {
 

@@ -4,8 +4,9 @@
 // defined (CMake option of the same name), so the hooks below can sit
 // directly on hot paths at zero release-build cost.
 //
-// Three families of run-time invariants, each a discipline the lock-free
-// backend (sharded_resolver.cpp) relies on but no compiler checks:
+// Two families of run-time invariants, each a discipline the execution
+// layer (sharded_resolver.cpp, executor.cpp) relies on but no compiler
+// checks:
 //
 //   Lock rank — every mutex the execution layer takes carries a rank
 //   (LockDomain). A thread-local tracker asserts that (a) shard mutexes
@@ -26,15 +27,10 @@
 //   family with an aborting hook for the enclosing dynamic extent.
 //   ShardedResolver::finish wraps itself in one: the release hot path is
 //   documented never to allocate, and every *audited* interior allocation
-//   (first grant-buffer sizing, combiner work, epoch limbo nodes)
+//   (first grant-buffer sizing, diagnostics on the throw paths)
 //   re-enables allocation through an AllowAllocScope naming its reason.
 //   A new allocation sneaking onto the path trips the hook and aborts
 //   with the offending scope's label.
-//
-//   Epoch guard — dereferencing a combiner-published snapshot or a
-//   grant-overflow block is only safe under an active EpochDomain guard
-//   (pin). Readers assert_epoch_guard() at the deref; Guard's ctor/dtor
-//   report pin/unpin through epoch_guard_acquired/released.
 //
 // All violations funnel into invariant_fail(), which prints one
 // "nexuspp-checked: <what> (<where>)" line on stderr and aborts — the
@@ -100,14 +96,6 @@ class AllowAllocScope {
   AllowAllocScope& operator=(const AllowAllocScope&) = delete;
 };
 
-/// EpochDomain::Guard reports pin/unpin through these.
-void epoch_guard_acquired();
-void epoch_guard_released();
-
-/// Call at every deref of epoch-protected memory (combiner snapshot,
-/// grant-overflow block): aborts unless this thread holds an epoch pin.
-void assert_epoch_guard(const char* where);
-
 #else  // !NEXUSPP_CHECKED — everything below must optimize to nothing.
 
 class LockRankGuard {
@@ -125,10 +113,6 @@ class AllowAllocScope {
  public:
   explicit AllowAllocScope(const char*) noexcept {}
 };
-
-inline void epoch_guard_acquired() noexcept {}
-inline void epoch_guard_released() noexcept {}
-inline void assert_epoch_guard(const char*) noexcept {}
 
 #endif  // NEXUSPP_CHECKED
 

@@ -14,17 +14,14 @@
 #include "core/resolver.hpp"
 #include "core/task_pool.hpp"
 #include "core/types.hpp"
-#include "exec/epoch.hpp"
 #include "exec/sharded_resolver.hpp"
 #include "util/invariant.hpp"
 
 namespace nexuspp {
 namespace {
 
-using exec::EpochDomain;
 using exec::ShardedResolver;
 using exec::ShardedResolverConfig;
-using exec::SyncMode;
 using util::AllowAllocScope;
 using util::LockDomain;
 using util::LockRankGuard;
@@ -32,15 +29,13 @@ using util::NoAllocScope;
 
 /// Submits `tasks` single-chain tasks (all inout on one address, so task
 /// i depends on task i-1), then finishes them in dependency order. This
-/// walks the full grant machinery — shard critical sections, pending-
-/// counter votes, and in lockfree mode the combiner + epoch reclamation —
-/// under whatever instrumentation the build enables.
-void drive_chain(SyncMode sync, std::uint64_t tasks) {
+/// walks the full grant machinery — shard critical sections and pending-
+/// counter votes — under whatever instrumentation the build enables.
+void drive_chain(std::uint64_t tasks) {
   ShardedResolverConfig cfg;
   cfg.shards = 4;
   cfg.pool_capacity = 256;
   cfg.table_capacity = 1024;
-  cfg.sync = sync;
   ShardedResolver resolver(cfg, tasks);
 
   std::vector<ShardedResolver::GlobalId> order;
@@ -62,13 +57,7 @@ void drive_chain(SyncMode sync, std::uint64_t tasks) {
   EXPECT_EQ(finished, tasks);
 }
 
-TEST(CheckedInvariants, ResolverChainRunsCleanMutex) {
-  drive_chain(SyncMode::kMutex, 64);
-}
-
-TEST(CheckedInvariants, ResolverChainRunsCleanLockfree) {
-  drive_chain(SyncMode::kLockFree, 64);
-}
+TEST(CheckedInvariants, ResolverChainRunsClean) { drive_chain(64); }
 
 /// Drives a core::Resolver directly: a writer, a crowd of readers behind
 /// it, a second writer, more readers, repeated. Two-id kick-off lists make
@@ -187,13 +176,6 @@ TEST(CheckedInvariantsDeath, HotPathAllocationAborts) {
       "\\(injected-hot-path\\)");
 }
 
-TEST(CheckedInvariantsDeath, EpochDerefWithoutGuardAborts) {
-  EXPECT_DEATH(
-      util::assert_epoch_guard("test-site"),
-      "nexuspp-checked: epoch-protected memory dereferenced without a guard "
-      "\\(test-site\\)");
-}
-
 TEST(CheckedInvariants, SequentialLocksAndAllowedAllocsPass) {
   {
     const LockRankGuard first(LockDomain::kShard);
@@ -206,12 +188,6 @@ TEST(CheckedInvariants, SequentialLocksAndAllowedAllocsPass) {
   delete fine;
 }
 
-TEST(CheckedInvariants, EpochGuardSatisfiesAssertion) {
-  EpochDomain domain;
-  EpochDomain::Guard guard(domain);
-  util::assert_epoch_guard("test-site");  // pinned: must not abort
-}
-
 #else  // !NEXUSPP_CHECKED
 
 TEST(CheckedInvariants, HooksAreInertInNormalBuilds) {
@@ -221,7 +197,6 @@ TEST(CheckedInvariants, HooksAreInertInNormalBuilds) {
   const NoAllocScope no_alloc("ignored");
   auto* ok = new int(1);  // no operator-new hook in normal builds
   delete ok;
-  util::assert_epoch_guard("ignored");
 }
 
 #endif  // NEXUSPP_CHECKED

@@ -106,7 +106,6 @@ struct GridCase {
   std::uint32_t banks;
   MatchMode mode;
   std::uint64_t seed;
-  exec::SyncMode sync;
 };
 
 class ExecOrderGrid : public ::testing::TestWithParam<GridCase> {};
@@ -117,12 +116,11 @@ TEST_P(ExecOrderGrid, CompletionOrderRespectsDependencies) {
   cfg.threads = param.threads;
   cfg.banks = param.banks;
   cfg.match_mode = param.mode;
-  cfg.sync = param.sync;
   cfg.duration_scale = 0.05;  // keep kernels short; order is what matters
   const auto report = run_validated(small_dag(param.seed), cfg);
   EXPECT_EQ(report.threads, param.threads);
   EXPECT_EQ(report.banks, param.banks);
-  EXPECT_EQ(report.sync_mode, param.sync);
+  EXPECT_GT(report.sync.lock_acquisitions, 0u);
   EXPECT_GT(report.wall_ns, 0.0);
   EXPECT_GT(report.tasks_per_sec, 0.0);
   EXPECT_EQ(report.turnaround_ns.count(), report.tasks_completed);
@@ -134,11 +132,8 @@ std::vector<GridCase> grid_cases() {
     for (const std::uint32_t banks : {1u, 4u}) {
       for (const MatchMode mode :
            {MatchMode::kBaseAddr, MatchMode::kRange}) {
-        for (const std::uint64_t seed : {1ull, 7ull}) {
-          for (const exec::SyncMode sync :
-               {exec::SyncMode::kMutex, exec::SyncMode::kLockFree}) {
-            cases.push_back({threads, banks, mode, seed, sync});
-          }
+        for (const std::uint64_t seed : {1ull, 3ull, 7ull, 11ull}) {
+          cases.push_back({threads, banks, mode, seed});
         }
       }
     }
@@ -158,8 +153,6 @@ INSTANTIATE_TEST_SUITE_P(
       name += info.param.mode == MatchMode::kRange ? "_range" : "_base";
       name += "_s";
       name += std::to_string(info.param.seed);
-      name += "_";
-      name += exec::to_string(info.param.sync);
       return name;
     });
 

@@ -1,11 +1,8 @@
-// The lock-free resolver backend (exec/sharded_resolver, sync=lockfree)
-// and its building blocks: the flat-combining DelegationQueue (FIFO,
-// MPSC exactly-once delivery, full-ring degradation), the EpochDomain
-// (guards block reclamation, retired objects are freed after quiescent
-// advances, concurrent box-swap canary), backend parity against the
-// mutex implementation, oracle-validated stress across sync x threads x
-// match modes x seeds, deadlock diagnosis in lockfree mode, and the
-// sync-telemetry plumbing through the engine/RunReport CSV schema.
+// The resolver's shard lock: concurrent finish() callers on one
+// ShardedResolver are serialized per shard (every task released exactly
+// once, in an oracle-valid order) and counted exactly by the lock census;
+// and the census flows through the exec-threads engine into RunReport,
+// its CSV schema and the metrics registry.
 //
 // This file runs under the ThreadSanitizer CI job and under the Release
 // `--repeat until-fail:10` repeat-runner: every multi-threaded test here
@@ -14,276 +11,31 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
+#include <cstdint>
+#include <deque>
 #include <memory>
+#include <mutex>  // std::lock_guard
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "core/observer.hpp"
+#include "chk/chk.hpp"
 #include "core/oracle.hpp"
+#include "core/types.hpp"
 #include "engine/registry.hpp"
 #include "engine/run_report.hpp"
-#include "exec/epoch.hpp"
-#include "exec/executor.hpp"
-#include "exec/sync_queue.hpp"
+#include "exec/sharded_resolver.hpp"
+#include "obs/metrics.hpp"
 #include "trace/trace.hpp"
 #include "workloads/random_dag.hpp"
 
 namespace nexuspp {
 namespace {
 
-using core::GraphOracle;
-using core::MatchMode;
-
-// --- SyncMode strings ---------------------------------------------------------
-
-TEST(SyncMode, StringRoundTripAndErrors) {
-  EXPECT_STREQ(exec::to_string(exec::SyncMode::kMutex), "mutex");
-  EXPECT_STREQ(exec::to_string(exec::SyncMode::kLockFree), "lockfree");
-  EXPECT_EQ(exec::sync_mode_from_string("mutex"), exec::SyncMode::kMutex);
-  EXPECT_EQ(exec::sync_mode_from_string("lockfree"),
-            exec::SyncMode::kLockFree);
-  EXPECT_THROW((void)exec::sync_mode_from_string("spinlock"),
-               std::invalid_argument);
-  EXPECT_THROW((void)exec::sync_mode_from_string(""), std::invalid_argument);
-}
-
-// --- DelegationQueue ----------------------------------------------------------
-
-struct CountedRequest : exec::SyncRequest {
-  int id = 0;
-  std::atomic<int> handled{0};
-};
-
-TEST(DelegationQueue, DrainsInFifoOrder) {
-  exec::DelegationQueue queue(8);
-  std::vector<CountedRequest> requests(5);
-  for (int i = 0; i < 5; ++i) {
-    requests[i].id = i;
-    ASSERT_TRUE(queue.try_publish(&requests[i]));
-  }
-  ASSERT_TRUE(queue.try_acquire_combiner());
-  std::vector<int> order;
-  const auto drained = queue.drain([&order](exec::SyncRequest& r) {
-    order.push_back(static_cast<CountedRequest&>(r).id);
-  });
-  queue.release_combiner();
-  EXPECT_EQ(drained, 5u);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-  for (const auto& r : requests) {
-    EXPECT_TRUE(r.done.load(std::memory_order_acquire));
-  }
-  const auto stats = queue.stats();
-  EXPECT_EQ(stats.combined_batches, 1u);
-  EXPECT_EQ(stats.combined_requests, 5u);
-  EXPECT_EQ(stats.max_combined_batch, 5u);
-}
-
-TEST(DelegationQueue, FullRingRejectsPublishAndRecoversAfterDrain) {
-  exec::DelegationQueue queue(2);
-  EXPECT_EQ(queue.capacity(), 2u);
-  std::vector<CountedRequest> requests(3);
-  ASSERT_TRUE(queue.try_publish(&requests[0]));
-  ASSERT_TRUE(queue.try_publish(&requests[1]));
-  EXPECT_FALSE(queue.try_publish(&requests[2]));  // full, not lost
-  ASSERT_TRUE(queue.try_acquire_combiner());
-  EXPECT_EQ(queue.drain([](exec::SyncRequest&) {}), 2u);
-  queue.release_combiner();
-  EXPECT_TRUE(queue.try_publish(&requests[2]));  // ring slots recycled
-}
-
-TEST(DelegationQueue, ExecuteCombinesWhenRingIsFull) {
-  // A capacity-2 ring with a single thread pushing through execute():
-  // every publish after the second must combine in place rather than
-  // deadlock on a full ring (there is no other combiner to help).
-  exec::DelegationQueue queue(2);
-  int handled = 0;
-  for (int i = 0; i < 64; ++i) {
-    CountedRequest request;
-    request.id = i;
-    queue.execute(request, [&handled](exec::SyncRequest&) { ++handled; });
-    EXPECT_TRUE(request.done.load(std::memory_order_acquire));
-  }
-  EXPECT_EQ(handled, 64);
-}
-
-TEST(DelegationQueue, MpscDeliversEveryRequestExactlyOnce) {
-  // 4 producers x 500 requests through the full execute() protocol on a
-  // deliberately tiny ring, so publish-side combining, combiner handoff
-  // and done-flag waiting all happen. The handler mutates *plain* state:
-  // the combiner flag's release/acquire pair is what makes that safe, and
-  // TSan checks exactly that claim.
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 500;
-  exec::DelegationQueue queue(8);
-  std::uint64_t plain_sum = 0;  // combiner-serialized, intentionally plain
-  std::vector<std::vector<CountedRequest>> requests(kProducers);
-  for (auto& lane : requests) {
-    lane = std::vector<CountedRequest>(kPerProducer);
-  }
-  const auto handler = [&plain_sum](exec::SyncRequest& r) {
-    auto& counted = static_cast<CountedRequest&>(r);
-    counted.handled.fetch_add(1, std::memory_order_relaxed);
-    ++plain_sum;
-  };
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        requests[p][i].id = p * kPerProducer + i;
-        queue.execute(requests[p][i], handler);
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-
-  EXPECT_EQ(plain_sum, static_cast<std::uint64_t>(kProducers) * kPerProducer);
-  for (const auto& lane : requests) {
-    for (const auto& r : lane) {
-      EXPECT_EQ(r.handled.load(), 1) << "request " << r.id;
-      EXPECT_TRUE(r.done.load(std::memory_order_acquire));
-    }
-  }
-  const auto stats = queue.stats();
-  EXPECT_EQ(stats.combined_requests,
-            static_cast<std::uint64_t>(kProducers) * kPerProducer);
-  EXPECT_GE(stats.combined_batches, 1u);
-  EXPECT_GE(stats.max_combined_batch, 1u);
-}
-
-// --- EpochDomain --------------------------------------------------------------
-
-struct DeleterFlag {
-  static void reset() { freed.store(false); }
-  static void mark(void*) { freed.store(true); }
-  static std::atomic<bool> freed;
-};
-std::atomic<bool> DeleterFlag::freed{false};
-
-TEST(EpochDomain, GuardBlocksReclamationUntilUnpinned) {
-  DeleterFlag::reset();
-  exec::EpochDomain domain;
-  int payload = 7;
-  {
-    exec::EpochDomain::Guard guard(domain);
-    domain.retire(&payload, &DeleterFlag::mark);
-    EXPECT_TRUE(domain.has_garbage());
-    // The pinned guard observed the retirement epoch; at most one advance
-    // can pass it, which is one short of the two the scheme requires.
-    for (int i = 0; i < 8; ++i) domain.try_advance();
-    EXPECT_FALSE(DeleterFlag::freed.load());
-  }
-  for (int i = 0; i < 8; ++i) domain.try_advance();
-  EXPECT_TRUE(DeleterFlag::freed.load());
-  EXPECT_FALSE(domain.has_garbage());
-  const auto stats = domain.stats();
-  EXPECT_GE(stats.advances, 2u);
-  EXPECT_EQ(stats.retired, 1u);
-  EXPECT_EQ(stats.reclaimed, 1u);
-}
-
-TEST(EpochDomain, DestructorReclaimsLeftoverGarbage) {
-  DeleterFlag::reset();
-  {
-    exec::EpochDomain domain;
-    static int payload = 0;
-    domain.retire(&payload, &DeleterFlag::mark);
-  }
-  EXPECT_TRUE(DeleterFlag::freed.load());
-}
-
-TEST(EpochDomain, ConcurrentBoxSwapNeverYieldsTornReads) {
-  // The resolver's actual usage pattern, distilled: writers swap a shared
-  // pointer to a two-field box (both fields always equal) and retire the
-  // old box; readers dereference under a Guard and assert the invariant.
-  // A reclamation bug shows up as a torn read (fields differ after the
-  // memory is reused) or as a TSan/ASan report.
-  struct Box {
-    std::uint64_t a = 0;
-    std::uint64_t b = 0;
-  };
-  exec::EpochDomain domain;
-  std::atomic<Box*> current{new Box{1, 1}};
-  std::atomic<bool> stop{false};
-  constexpr int kSwaps = 400;
-
-  std::thread writer([&] {
-    for (std::uint64_t v = 2; v < 2 + kSwaps; ++v) {
-      Box* fresh = new Box{v, v};
-      Box* old = current.exchange(fresh, std::memory_order_acq_rel);
-      domain.retire(old);
-      domain.try_advance();
-    }
-    stop.store(true, std::memory_order_release);
-  });
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
-    readers.emplace_back([&] {
-      std::uint64_t checks = 0;
-      while (!stop.load(std::memory_order_acquire) || checks == 0) {
-        exec::EpochDomain::Guard guard(domain);
-        const Box* box = current.load(std::memory_order_acquire);
-        ASSERT_EQ(box->a, box->b);
-        ++checks;
-      }
-    });
-  }
-  writer.join();
-  for (auto& t : readers) t.join();
-  delete current.load();
-  const auto stats = domain.stats();
-  EXPECT_EQ(stats.retired, static_cast<std::uint64_t>(kSwaps));
-  EXPECT_LE(stats.reclaimed, stats.retired);
-}
-
-// --- Oracle-validated executor runs across both backends ----------------------
-
-struct OracleInput {
-  std::vector<std::vector<core::Param>> params;
-  std::unordered_map<std::uint64_t, std::uint64_t> index_of;
-};
-
-OracleInput oracle_input(const std::vector<trace::TaskRecord>& tasks) {
-  OracleInput in;
-  in.params.reserve(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    in.params.push_back(tasks[i].params);
-    in.index_of.emplace(tasks[i].serial, i);
-  }
-  return in;
-}
-
-exec::ExecReport run_validated(const std::vector<trace::TaskRecord>& tasks,
-                               exec::ExecConfig cfg) {
-  core::CompletionRecorder recorder;
-  cfg.observer = &recorder;
-  exec::ThreadedExecutor executor(cfg);
-  const auto report = executor.run(std::make_unique<trace::VectorStream>(
-      std::make_shared<const std::vector<trace::TaskRecord>>(tasks)));
-  EXPECT_FALSE(report.deadlocked) << report.diagnosis;
-  EXPECT_EQ(report.tasks_completed, tasks.size());
-
-  const auto in = oracle_input(tasks);
-  std::vector<std::uint64_t> order;
-  for (const auto serial : recorder.order()) {
-    const auto it = in.index_of.find(serial);
-    if (it == in.index_of.end()) {
-      ADD_FAILURE() << "recorder saw unknown serial " << serial;
-      return report;
-    }
-    order.push_back(it->second);
-  }
-  const auto violation = GraphOracle::validate_completion_order(
-      cfg.match_mode, in.params, order);
-  EXPECT_TRUE(violation.empty()) << violation;
-  return report;
-}
+using exec::ShardedResolver;
 
 std::vector<trace::TaskRecord> small_dag(std::uint64_t seed,
-                                         std::uint32_t tasks = 300) {
+                                         std::uint32_t tasks) {
   workloads::RandomDagConfig cfg;
   cfg.seed = seed;
   cfg.num_tasks = tasks;
@@ -291,165 +43,109 @@ std::vector<trace::TaskRecord> small_dag(std::uint64_t seed,
   return *workloads::make_random_dag_trace(cfg);
 }
 
-/// Both backends drive the identical shared registration/release bodies,
-/// so at threads=1 (inline, deterministic) their completion orders and
-/// resolver decisions must be bit-equal, not merely both oracle-valid.
-TEST(ExecSync, SingleThreadParityBetweenMutexAndLockFree) {
-  const auto tasks = small_dag(42);
-  const auto run_once = [&tasks](exec::SyncMode sync) {
-    core::CompletionRecorder recorder;
-    exec::ExecConfig cfg;
-    cfg.threads = 1;
-    cfg.banks = 2;
-    cfg.sync = sync;
-    cfg.duration_scale = 0.0;
-    cfg.observer = &recorder;
-    exec::ThreadedExecutor executor(cfg);
-    const auto report = executor.run(std::make_unique<trace::VectorStream>(
-        std::make_shared<const std::vector<trace::TaskRecord>>(tasks)));
-    EXPECT_FALSE(report.deadlocked) << report.diagnosis;
-    EXPECT_EQ(report.tasks_completed, tasks.size());
-    return std::make_pair(recorder.order(), report);
-  };
-  const auto [mutex_order, mutex_report] = run_once(exec::SyncMode::kMutex);
-  const auto [lf_order, lf_report] = run_once(exec::SyncMode::kLockFree);
-  EXPECT_EQ(mutex_order, lf_order)
-      << "backends must make identical resolver decisions";
-  EXPECT_EQ(mutex_report.resolver.granted, lf_report.resolver.granted);
-  EXPECT_EQ(mutex_report.resolver.queued, lf_report.resolver.queued);
-  EXPECT_EQ(mutex_report.tables.lookups, lf_report.tables.lookups);
-  EXPECT_EQ(mutex_report.sync_mode, exec::SyncMode::kMutex);
-  EXPECT_EQ(lf_report.sync_mode, exec::SyncMode::kLockFree);
-}
+/// Registers a whole graph from one thread, then releases it from several
+/// threads at once. Each releaser pops a granted task, finishes it, and
+/// queues what the release granted; pops happen under the queue lock, so
+/// the pop order is a completion order the oracle can check. The queue
+/// lock and thread links are the chk:: kinds so a race-checking build sees
+/// the same happens-before edges the hardware provides.
+TEST(ShardLock, ConcurrentFinishCallersAreSerializedAndCounted) {
+  for (const core::MatchMode mode :
+       {core::MatchMode::kBaseAddr, core::MatchMode::kRange}) {
+    SCOPED_TRACE(core::to_string(mode));
+    const auto tasks = small_dag(5, 400);
+    exec::ShardedResolverConfig cfg;
+    cfg.shards = 4;
+    cfg.match_mode = mode;
+    ShardedResolver resolver(cfg, tasks.size());
 
-struct SyncGridCase {
-  exec::SyncMode sync;
-  std::uint32_t threads;
-  MatchMode mode;
-  std::uint64_t seed;
-};
-
-class ExecSyncGrid : public ::testing::TestWithParam<SyncGridCase> {};
-
-TEST_P(ExecSyncGrid, CompletionOrderRespectsDependencies) {
-  const auto& param = GetParam();
-  exec::ExecConfig cfg;
-  cfg.threads = param.threads;
-  cfg.banks = 4;
-  cfg.sync = param.sync;
-  cfg.match_mode = param.mode;
-  cfg.duration_scale = 0.05;
-  const auto report = run_validated(small_dag(param.seed), cfg);
-  EXPECT_EQ(report.sync_mode, param.sync);
-  if (param.sync == exec::SyncMode::kLockFree) {
-    // Every lockfree finish is delegated, so combining telemetry must be
-    // live on any completed run.
-    EXPECT_GT(report.sync.combined_requests, 0u);
-    EXPECT_GT(report.sync.combined_batches, 0u);
-    EXPECT_EQ(report.sync.lock_acquisitions, 0u);
-  } else {
-    EXPECT_GT(report.sync.lock_acquisitions, 0u);
-    EXPECT_EQ(report.sync.combined_requests, 0u);
-  }
-}
-
-std::vector<SyncGridCase> sync_grid_cases() {
-  std::vector<SyncGridCase> cases;
-  for (const exec::SyncMode sync :
-       {exec::SyncMode::kMutex, exec::SyncMode::kLockFree}) {
-    for (const std::uint32_t threads : {2u, 4u, 8u}) {
-      for (const MatchMode mode :
-           {MatchMode::kBaseAddr, MatchMode::kRange}) {
-        for (const std::uint64_t seed : {3ull, 11ull}) {
-          cases.push_back({sync, threads, mode, seed});
-        }
-      }
+    chk::Mutex mu;
+    std::deque<std::uint64_t> ready;
+    std::vector<std::uint64_t> order;
+    for (std::uint64_t gid = 0; gid < tasks.size(); ++gid) {
+      auto session = resolver.begin_submit(gid, tasks[gid].serial,
+                                           tasks[gid].fn, tasks[gid].params);
+      ASSERT_EQ(session.advance(), ShardedResolver::Progress::kDone)
+          << session.failure();
+      if (session.ready()) ready.push_back(gid);
     }
+    // Registration entered each touched shard once per task; release
+    // enters the same shards once more.
+    const std::uint64_t submit_locks =
+        resolver.sync_stats().lock_acquisitions;
+    ASSERT_GT(submit_locks, 0u);
+
+    const auto releaser = [&] {
+      std::vector<ShardedResolver::GlobalId> granted;
+      for (;;) {
+        std::uint64_t gid = 0;
+        bool popped = false;
+        {
+          const std::lock_guard<chk::Mutex> lock(mu);
+          if (order.size() == tasks.size()) return;
+          if (!ready.empty()) {
+            gid = ready.front();
+            ready.pop_front();
+            order.push_back(gid);
+            popped = true;
+          }
+        }
+        if (!popped) {
+          // Another releaser holds the grants this one waits for.
+          std::this_thread::yield();
+          continue;
+        }
+        resolver.finish(gid, granted);
+        const std::lock_guard<chk::Mutex> lock(mu);
+        ready.insert(ready.end(), granted.begin(), granted.end());
+      }
+    };
+    constexpr int kReleasers = 3;
+    std::vector<chk::ThreadLink> links(kReleasers);
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kReleasers; ++t) {
+      pool.emplace_back([&releaser, &link = links[t]] {
+        link.child_begin();
+        releaser();
+        link.child_end();
+      });
+    }
+    for (int t = 0; t < kReleasers; ++t) {
+      pool[t].join();
+      links[t].parent_join();
+    }
+
+    ASSERT_EQ(order.size(), tasks.size());
+    EXPECT_TRUE(ready.empty());
+    std::vector<std::vector<core::Param>> params;
+    for (const auto& task : tasks) params.push_back(task.params);
+    const auto violation =
+        core::GraphOracle::validate_completion_order(mode, params, order);
+    EXPECT_TRUE(violation.empty()) << violation;
+
+    const auto census = resolver.sync_stats();
+    EXPECT_EQ(census.lock_acquisitions, 2 * submit_locks);
+    EXPECT_LE(census.lock_contentions, census.lock_acquisitions);
   }
-  return cases;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SyncThreadsModesSeeds, ExecSyncGrid,
-    ::testing::ValuesIn(sync_grid_cases()), [](const auto& info) {
-      return std::string(exec::to_string(info.param.sync)) + "_t" +
-             std::to_string(info.param.threads) + "_" +
-             std::string(info.param.mode == MatchMode::kRange ? "range"
-                                                              : "base") +
-             "_s" + std::to_string(info.param.seed);
-    });
-
-// --- Deadlock diagnosis parity in lockfree mode -------------------------------
-
-TEST(ExecSync, LockFreeCapacityDeadlockIsDiagnosed) {
-  // The lockfree backend detects stalls via failed slot claims; a task
-  // that can never fit must still produce the exact capacity-deadlock
-  // diagnosis, not a livelock of claim retries.
-  std::vector<trace::TaskRecord> tasks(1);
-  tasks[0].serial = 0;
-  tasks[0].params = {core::out(0x1000), core::out(0x2000),
-                     core::out(0x3000), core::out(0x4000)};
-  for (const std::uint32_t threads : {1u, 2u}) {
-    SCOPED_TRACE(threads);
-    exec::ExecConfig cfg;
-    cfg.threads = threads;
-    cfg.banks = 1;
-    cfg.sync = exec::SyncMode::kLockFree;
-    cfg.dep_table_capacity = 2;
-    exec::ThreadedExecutor executor(cfg);
-    const auto report = executor.run(std::make_unique<trace::VectorStream>(
-        std::make_shared<const std::vector<trace::TaskRecord>>(tasks)));
-    EXPECT_TRUE(report.deadlocked);
-    EXPECT_NE(report.diagnosis.find("capacity deadlock"), std::string::npos)
-        << report.diagnosis;
-    EXPECT_EQ(report.tasks_completed, 0u);
-  }
-}
-
-TEST(ExecSync, LockFreeStructuralOverflowIsDiagnosed) {
-  std::vector<trace::TaskRecord> tasks(6);
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    tasks[i].serial = i;
-    tasks[i].params = {core::out(0x1000)};
-  }
-  exec::ExecConfig cfg;
-  cfg.threads = 1;
-  cfg.sync = exec::SyncMode::kLockFree;
-  cfg.allow_dummies = false;
-  cfg.kick_off_capacity = 2;
-  exec::ThreadedExecutor executor(cfg);
-  const auto report = executor.run(std::make_unique<trace::VectorStream>(
-      std::make_shared<const std::vector<trace::TaskRecord>>(tasks)));
-  EXPECT_TRUE(report.deadlocked);
-  EXPECT_NE(report.diagnosis.find("structural"), std::string::npos)
-      << report.diagnosis;
-}
-
-// --- Engine adapter / telemetry contract --------------------------------------
-
-TEST(ExecSync, SyncTelemetryFlowsThroughEngineAndCsv) {
-  const auto& registry = engine::EngineRegistry::builtins();
+/// exec-threads: the master is the resolver's only caller, so the census
+/// counts every shard entry and no contention, and both numbers reach the
+/// report, its CSV row and the metrics registry.
+TEST(ShardLock, CensusFlowsThroughEngineCsvAndMetrics) {
   engine::EngineParams params;
   params.threads = 4;
   params.banks = 2;
-  params.sync = exec::SyncMode::kLockFree;
-  EXPECT_NE(params.label().find("sync=lockfree"), std::string::npos);
-
   const auto tasks = small_dag(1, 200);
-  const auto eng = registry.make("exec-threads", params);
-  const auto report = eng->run(std::make_unique<trace::VectorStream>(
-      std::make_shared<const std::vector<trace::TaskRecord>>(tasks)));
+  const auto report =
+      engine::EngineRegistry::builtins()
+          .make("exec-threads", params)
+          ->run(std::make_unique<trace::VectorStream>(
+              std::make_shared<const std::vector<trace::TaskRecord>>(tasks)));
   ASSERT_FALSE(report.deadlocked) << report.diagnosis;
-  EXPECT_EQ(report.exec_sync, "lockfree");
-  EXPECT_GT(report.exec_combined_requests, 0u);
-  EXPECT_GT(report.exec_combined_batches, 0u);
-  EXPECT_GE(report.exec_max_combined_batch, 1u);
-  EXPECT_EQ(report.exec_lock_acquisitions, 0u);
-  // Space snapshots are retired on every combiner batch, so any lockfree
-  // run with at least one batch retires; advances follow from finish().
-  EXPECT_GT(report.exec_epoch_advances, 0u);
+  EXPECT_GT(report.exec_lock_acquisitions, 0u);
+  EXPECT_EQ(report.exec_lock_contentions, 0u);
 
-  // Every sync column rides the shared CSV schema, aligned with its row.
   const auto header = engine::RunReport::csv_header();
   const auto row = report.csv_row();
   ASSERT_EQ(header.size(), row.size());
@@ -460,25 +156,15 @@ TEST(ExecSync, SyncTelemetryFlowsThroughEngineAndCsv) {
                ? std::string{}
                : row[static_cast<std::size_t>(col - header.begin())];
   };
-  EXPECT_EQ(cell("exec_sync"), "lockfree");
-  EXPECT_NE(cell("exec_combined_requests"), "0");
-  for (const char* name :
-       {"exec_cas_retries", "exec_combined_batches",
-        "exec_max_combined_batch", "exec_slot_claim_failures",
-        "exec_epoch_advances", "exec_epoch_reclaimed"}) {
-    EXPECT_FALSE(cell(name).empty()) << name;
-  }
+  EXPECT_EQ(cell("exec_lock_acquisitions"),
+            std::to_string(report.exec_lock_acquisitions));
+  EXPECT_EQ(cell("exec_lock_contentions"), "0");
 
-  // The mutex default stamps its own mode, keeping series separable.
-  engine::EngineParams mutex_params;
-  mutex_params.threads = 2;
-  const auto mutex_report =
-      registry.make("exec-threads", mutex_params)
-          ->run(std::make_unique<trace::VectorStream>(
-              std::make_shared<const std::vector<trace::TaskRecord>>(tasks)));
-  ASSERT_FALSE(mutex_report.deadlocked) << mutex_report.diagnosis;
-  EXPECT_EQ(mutex_report.exec_sync, "mutex");
-  EXPECT_GT(mutex_report.exec_lock_acquisitions, 0u);
+  obs::MetricsRegistry registry;
+  report.register_metrics(registry);
+  EXPECT_EQ(registry.value_or("sync.lock_acquisitions", -1.0),
+            static_cast<double>(report.exec_lock_acquisitions));
+  EXPECT_EQ(registry.value_or("sync.lock_contentions", -1.0), 0.0);
 }
 
 }  // namespace

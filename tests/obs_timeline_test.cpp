@@ -95,7 +95,7 @@ TEST(TimelineRecorder, RecordPathIsAllocationFree) {
     }
     obs::ThreadTrackScope scope(&rec, track);
     ASSERT_TRUE(obs::here_enabled());
-    obs::record_here(obs::EventKind::kCombine, obs::here_now_ns(), 0.0, 0, 3);
+    obs::record_here(obs::EventKind::kLockWait, obs::here_now_ns(), 0.0, 0, 3);
   }
   EXPECT_FALSE(obs::here_enabled());
   const obs::Timeline timeline = std::move(rec).finish();

@@ -10,9 +10,8 @@
 //     purge-on-reclaim) — the checker is pure logic over those ids.
 //   * ScheduleController tests pin determinism (same seed -> same trace),
 //     seed sensitivity, and the deadlock / step-limit diagnoses.
-//   * Workload sweeps run DelegationQueue MPSC, EpochDomain reclamation
-//     and ShardedResolver submit/finish chains over seed sets and demand
-//     completion with zero race reports.
+//   * Workload sweeps run ShardedResolver submit/finish chains over seed
+//     sets and demand completion with zero race reports.
 //   * The mutant test flips chk::Faults::publish_local_id_late, proves a
 //     bounded schedule budget finds the reintroduced race, and replays
 //     the found seed to the bit-identical trace and report signature.
@@ -66,9 +65,7 @@ TEST(SchedCheck, RequiresSchedcheckBuild) {
 #include "chk/race_checker.hpp"
 #include "chk/session.hpp"
 #include "core/types.hpp"
-#include "exec/epoch.hpp"
 #include "exec/sharded_resolver.hpp"
-#include "exec/sync_queue.hpp"
 
 namespace nexuspp {
 namespace {
@@ -414,92 +411,17 @@ struct Mailbox {
   return out;
 }
 
-TEST(SchedExploration, DelegationQueueMpscIsRaceFree) {
-  for (const auto& policy : sweep_policies(60, 20)) {
-    exec::DelegationQueue queue(4);
-    std::uint64_t handled = 0;
-    // The handler mutates plain state; exclusivity comes entirely from
-    // the combiner protocol, which is exactly the claim under test.
-    const auto handler = [&handled](exec::SyncRequest&) {
-      chk::plain_write(&handled);
-      ++handled;
-    };
-    const auto producer = [&] {
-      for (int i = 0; i < 3; ++i) {
-        exec::SyncRequest request;
-        queue.execute(request, handler);
-      }
-    };
-    RaceChecker checker;
-    {
-      ScheduleController controller(policy);
-      chk::SessionScope scope(&controller, &checker);
-      const auto outcome = controller.run({producer, producer});
-      ASSERT_TRUE(outcome.completed())
-          << controller.seed_banner() << ": " << outcome.diagnosis;
-    }
-    EXPECT_EQ(handled, 6u);
-    EXPECT_TRUE(checker.reports().empty())
-        << "seed " << policy.seed << ": "
-        << checker.reports()[0].to_string();
-  }
-}
-
-TEST(SchedExploration, EpochReclamationIsRaceFree) {
-  struct Box {
-    std::uint64_t value = 0;
-  };
-  for (const auto& policy : sweep_policies(60, 20)) {
-    exec::EpochDomain domain;
-    chk::Atomic<Box*> box{new Box};
-    const auto writer = [&] {
-      for (int i = 0; i < 2; ++i) {
-        Box* fresh = new Box;
-        chk::plain_write(&fresh->value);
-        fresh->value = static_cast<std::uint64_t>(i) + 1;
-        Box* old = box.exchange(fresh, std::memory_order_acq_rel);
-        domain.retire(old);
-        domain.try_advance();
-      }
-    };
-    const auto reader = [&] {
-      for (int i = 0; i < 3; ++i) {
-        exec::EpochDomain::Guard guard(domain);
-        Box* current = box.load(std::memory_order_acquire);
-        chk::plain_read(&current->value);
-        (void)current->value;
-      }
-    };
-    RaceChecker checker;
-    {
-      ScheduleController controller(policy);
-      chk::SessionScope scope(&controller, &checker);
-      const auto outcome = controller.run({writer, reader});
-      ASSERT_TRUE(outcome.completed())
-          << controller.seed_banner() << ": " << outcome.diagnosis;
-      EXPECT_TRUE(checker.reports().empty())
-          << "seed " << policy.seed << ": "
-          << checker.reports()[0].to_string();
-    }
-    delete box.load(std::memory_order_relaxed);
-    // Remaining limbo generations are freed by ~EpochDomain after the
-    // session closed (main never synchronized with the workload threads,
-    // so in-session teardown checks would be false positives).
-  }
-}
-
 /// Master/worker resolver chain: master registers `tasks` conflicting
 /// tasks (all inout on one address) and mails every submission-granted
 /// task; the worker drains the mailbox, finishes tasks, and mails each
-/// finish-granted dependant. Exercises submit-vs-finish interleavings of
-/// one shard's full backend.
+/// finish-granted dependant. Exercises submit-vs-finish interleavings on
+/// one shard's lock.
 struct ResolverChainWorkload {
   explicit ResolverChainWorkload(std::uint64_t tasks) : total(tasks) {
     exec::ShardedResolverConfig cfg;
     cfg.shards = 1;
     cfg.pool_capacity = 64;
     cfg.table_capacity = 256;
-    cfg.sync = exec::SyncMode::kLockFree;
     resolver = std::make_unique<exec::ShardedResolver>(cfg, tasks);
   }
 
@@ -531,7 +453,7 @@ struct ResolverChainWorkload {
   Mailbox mailbox;
 };
 
-TEST(SchedExploration, LockFreeResolverChainIsRaceFree) {
+TEST(SchedExploration, ResolverChainIsRaceFree) {
   for (const auto& policy : sweep_policies(40, 15)) {
     ResolverChainWorkload workload(3);
     RaceChecker checker;
@@ -545,8 +467,8 @@ TEST(SchedExploration, LockFreeResolverChainIsRaceFree) {
           << "seed " << policy.seed << ": "
           << checker.reports()[0].to_string();
     }
-    // The resolver (and its epoch domain) tears down after the session:
-    // main never synchronized with the schedule's threads.
+    // The resolver tears down after the session: main never synchronized
+    // with the schedule's threads.
   }
 }
 

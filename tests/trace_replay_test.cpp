@@ -3,16 +3,24 @@
 // same engine and configuration — and the replayed RunReport compares
 // equal field for field with the original run's, for every registered
 // engine in both match modes. Also pins the capture side (the recorded
-// stream is exactly the generator's output) and the sweep driver's
-// trace-file workloads.
+// stream is exactly the generator's output), the sweep driver's
+// trace-file workloads, and that traces written by older captures still
+// load and run.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "core/observer.hpp"
+#include "core/oracle.hpp"
 #include "engine/capture.hpp"
 #include "engine/sweep.hpp"
+#include "exec/executor.hpp"
 #include "trace/capture.hpp"
 #include "trace/io.hpp"
 #include "workloads/factorization.hpp"
@@ -224,6 +232,100 @@ TEST(TraceReplay, ReplayHonoursDifferentParamsThanCapture) {
   EXPECT_FALSE(narrow.deadlocked);
   EXPECT_EQ(narrow.tasks_completed, captured.report.tasks_completed);
   EXPECT_GT(narrow.makespan, captured.report.makespan);
+}
+
+/// An exec-threads capture written while the executor still had a
+/// `sync=mutex|lockfree` shard-backend option
+/// (`trace_tool capture tiled-cholesky:tiles=3,tile-elems=16 old.nxt
+/// --engine=exec-threads --threads=2 --sync=lockfree --cores=4`). Its meta
+/// carries a `sync` key no current reader knows.
+constexpr const char* kLockfreeEraTrace = R"(nexus-trace v2
+# tasks: 10
+meta workload tiled-cholesky:tiles=3,tile-elems=16
+meta engine exec-threads
+meta params w=4 threads=2 sync=lockfree
+meta workers 4
+meta threads 2
+meta sync lockfree
+meta captured-by trace_tool capture
+task 0 50177 682.66700000000003 2048 2048 1
+param a0000000 2048 inout
+task 1 50178 2048 4096 2048 2
+param a0000000 2048 in
+param a0001800 2048 inout
+task 2 50178 2048 4096 2048 2
+param a0000000 2048 in
+param a0003000 2048 inout
+task 3 50179 2048 4096 2048 2
+param a0001800 2048 in
+param a0002000 2048 inout
+task 4 50180 4096 6144 2048 3
+param a0003000 2048 in
+param a0001800 2048 in
+param a0003800 2048 inout
+task 5 50179 2048 4096 2048 2
+param a0003000 2048 in
+param a0004000 2048 inout
+task 6 50177 682.66700000000003 2048 2048 1
+param a0002000 2048 inout
+task 7 50178 2048 4096 2048 2
+param a0002000 2048 in
+param a0003800 2048 inout
+task 8 50179 2048 4096 2048 2
+param a0003800 2048 in
+param a0004000 2048 inout
+task 9 50177 682.66700000000003 2048 2048 1
+param a0004000 2048 inout
+)";
+
+TEST(TraceReplay, LockfreeEraTraceStillLoadsAndReplaysOnExecThreads) {
+  std::istringstream in(kLockfreeEraTrace);
+  const auto trace = trace::read_text_trace(in);
+  ASSERT_EQ(trace.tasks.size(), 10u);
+  // Unknown meta keys are preserved, not rejected.
+  EXPECT_EQ(trace.meta.get("sync"), std::optional<std::string>("lockfree"));
+  EXPECT_EQ(trace.meta.get(trace::TraceMeta::kThreads),
+            std::optional<std::string>("2"));
+
+  // The engine path: replay with the capture's worker pool.
+  engine::EngineParams params;
+  params.threads = 2;
+  const auto report = engine::replay(
+      trace, engine::EngineRegistry::builtins(), "exec-threads", params);
+  EXPECT_FALSE(report.deadlocked) << report.diagnosis;
+  EXPECT_EQ(report.tasks_completed, trace.tasks.size());
+
+  // The completion order of a real run respects every dependence.
+  core::CompletionRecorder recorder;
+  exec::ExecConfig cfg;
+  cfg.threads = 2;
+  cfg.observer = &recorder;
+  exec::ThreadedExecutor executor(cfg);
+  const auto exec_report =
+      executor.run(trace::make_vector_stream(trace.tasks));
+  ASSERT_FALSE(exec_report.deadlocked) << exec_report.diagnosis;
+  std::vector<std::vector<core::Param>> task_params;
+  for (const auto& task : trace.tasks) task_params.push_back(task.params);
+  std::vector<std::uint64_t> order;
+  for (const auto serial : recorder.order()) {
+    const auto it = std::find_if(
+        trace.tasks.begin(), trace.tasks.end(),
+        [serial](const trace::TaskRecord& r) { return r.serial == serial; });
+    ASSERT_NE(it, trace.tasks.end()) << "unknown serial " << serial;
+    order.push_back(static_cast<std::uint64_t>(it - trace.tasks.begin()));
+  }
+  ASSERT_EQ(order.size(), trace.tasks.size());
+  const auto violation = core::GraphOracle::validate_completion_order(
+      cfg.match_mode, task_params, order);
+  EXPECT_TRUE(violation.empty()) << violation;
+
+  // Captures no longer write the key.
+  const auto& library = workloads::WorkloadLibrary::builtins();
+  const auto eng = engine::EngineRegistry::builtins().make("exec-threads",
+                                                           params);
+  const auto recaptured = engine::run_captured(
+      *eng, library.make_stream(kWorkload), &params, kWorkload);
+  EXPECT_FALSE(recaptured.trace.meta.get("sync").has_value());
 }
 
 }  // namespace
