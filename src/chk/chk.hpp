@@ -31,7 +31,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstddef>
 #include <cstdint>
 #include <mutex>
 
@@ -54,7 +53,6 @@ enum class OpKind : std::uint8_t {
   kCondNotify,
   kPlainRead,   ///< annotated non-atomic read (protocol-protected data)
   kPlainWrite,  ///< annotated non-atomic write
-  kReclaim,     ///< freeing an object other threads accessed
   kYield,       ///< cooperative backoff / blocked wait
 };
 
@@ -100,14 +98,8 @@ void mutex_acquired(const void* mutex, const std::source_location& loc);
 void mutex_released(const void* mutex, const std::source_location& loc);
 void plain_access(const void* addr, bool is_write,
                   const std::source_location& loc);
-void reclaim(const void* base, std::size_t len,
-             const std::source_location& loc);
 void fork_capture(std::uint64_t* clock_out);
 void fork_adopt(const std::uint64_t* clock_in);
-
-// Thread-local abort-shield depth (see AbortShield below).
-void push_abort_shield() noexcept;
-void pop_abort_shield() noexcept;
 
 [[nodiscard]] inline bool is_acquire(std::memory_order mo) noexcept {
   return mo == std::memory_order_acquire || mo == std::memory_order_acq_rel ||
@@ -372,32 +364,6 @@ inline void plain_write(const void* addr,
   detail::plain_access(addr, true, loc);
 }
 
-/// Call before freeing memory other threads accessed: verifies every
-/// recorded access to [base, base+len) happens-before the reclaiming
-/// thread (a violation is a use-after-reclaim), then retires the shadow
-/// state so a reused address cannot alias old history.
-inline void reclaim_check(const void* base, std::size_t len,
-                          std::source_location loc =
-                              std::source_location::current()) {
-  detail::point(OpKind::kReclaim, base, loc);
-  detail::reclaim(base, len, loc);
-}
-
-/// RAII scope in which scheduling points swallow the controller's abort
-/// instead of throwing ScheduleAbort. Required around instrumented
-/// operations reached from destructors — implicitly noexcept, so a
-/// thrown abort would std::terminate (e.g. an RAII guard whose destructor
-/// performs an instrumented atomic). The operations themselves still
-/// execute; the thread keeps cleaning up and exits the schedule at its
-/// next unshielded point or by finishing.
-class AbortShield {
- public:
-  AbortShield() noexcept { detail::push_abort_shield(); }
-  ~AbortShield() { detail::pop_abort_shield(); }
-  AbortShield(const AbortShield&) = delete;
-  AbortShield& operator=(const AbortShield&) = delete;
-};
-
 /// Cooperative replacement for one Backoff::pause round. Returns true
 /// when a controller absorbed the wait (the caller should skip its
 /// spin/yield/sleep — wall-clock waits would desynchronize replay).
@@ -426,6 +392,11 @@ struct Faults {
   /// concurrent finish can grant a task before its local id is visible.
   [[nodiscard]] static bool publish_local_id_late() noexcept;
   static void set_publish_local_id_late(bool on) noexcept;
+  /// A task-channel send that bumps the inbox's `sent` counter *before*
+  /// writing the inbox slot, so a worker can read the slot's previous
+  /// occupant (exec/channel.hpp).
+  [[nodiscard]] static bool send_before_write() noexcept;
+  static void set_send_before_write(bool on) noexcept;
 };
 
 }  // namespace nexuspp::chk
@@ -448,17 +419,7 @@ class ThreadLink {
 
 inline void plain_read(const void*) noexcept {}
 inline void plain_write(const void*) noexcept {}
-inline void reclaim_check(const void*, std::size_t) noexcept {}
 inline bool spin_yield() noexcept { return false; }
-
-class AbortShield {
- public:
-  // User-provided (not defaulted) so an unused shield local does not
-  // trip -Wunused-variable; still compiles to nothing.
-  AbortShield() noexcept {}
-  AbortShield(const AbortShield&) = delete;
-  AbortShield& operator=(const AbortShield&) = delete;
-};
 
 inline constexpr std::uint32_t kNoScheduleThread = ~0u;
 [[nodiscard]] inline constexpr std::uint32_t schedule_thread_id() noexcept {
@@ -467,6 +428,9 @@ inline constexpr std::uint32_t kNoScheduleThread = ~0u;
 
 struct Faults {
   [[nodiscard]] static constexpr bool publish_local_id_late() noexcept {
+    return false;
+  }
+  [[nodiscard]] static constexpr bool send_before_write() noexcept {
     return false;
   }
 };

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <mutex>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "chk/chk.hpp"
+#include "exec/channel.hpp"
 #include "exec/spin.hpp"
 #include "sim/time.hpp"
 #include "util/invariant.hpp"
@@ -50,61 +51,24 @@ ShardedResolverConfig ExecConfig::resolver_config() const {
 }
 
 struct ThreadedExecutor::Impl {
+  // --- Set up before any worker starts, then only read ----------------------
   std::unique_ptr<ShardedResolver> resolver;
   std::uint64_t expected = 0;
   /// Worker threads in the pool (0 in inline mode).
   std::uint32_t workers = 0;
 
-  // Per-task bookkeeping, pre-sized before any worker starts.
+  // Per-task bookkeeping (written by the master before it sends the task).
   std::vector<std::uint64_t> serials;
   std::vector<std::uint64_t> exec_ns;
   std::vector<Clock::time_point> submitted_at;
 
-  // Run queue. Every task is dispatched exactly once, so the queue is an
-  // append-only log of `expected` ids: the master writes entries past
-  // `tail` without the lock and publishes them by advancing `tail` under
-  // it; workers pop at `head`. Nothing on either side ever allocates.
-  std::vector<std::uint64_t> queue;
-  // qmu guards head, tail, parked, signaled, done and queue_peak.
-  chk::Mutex qmu;
-  chk::CondVar qcv;
-  std::size_t head = 0;
-  std::size_t tail = 0;
-  /// Workers blocked on qcv, and how many of them were already notified
-  /// but have not run yet: a notified worker is as good as awake, so
-  /// nobody pays for a second wake-up meant for the same worker.
-  std::uint32_t parked = 0;
-  std::uint32_t signaled = 0;
-  bool done = false;
-  std::size_t queue_peak = 0;
-
-  // Completion channel, the Task Controllers' "finished" signal: another
-  // append-only log of `expected` ids. Workers append under cmu and
-  // publish the new length through `posted` (release); the master reads
-  // `posted` (acquire) and consumes entries without the lock. cmu is only
-  // needed among posting workers and for the master's park/wake protocol.
-  std::vector<std::uint64_t> completions;
-  // cmu guards appends to `completions` and master_parked.
-  chk::Mutex cmu;
-  chk::CondVar ccv;
-  chk::Atomic<std::uint64_t> posted{0};
-  bool master_parked = false;
-
-  // Master-only progress state (the master is the resolver's only caller,
-  // so none of this is shared).
-  std::uint64_t submitted = 0;  ///< fully registered
-  std::uint64_t completed = 0;  ///< released (== completion entries consumed)
-  std::size_t appended = 0;     ///< queue entries written (>= tail)
-  /// Reusable grant buffer for ShardedResolver::finish.
-  std::vector<std::uint64_t> grants;
+  /// One Task Controller link per worker (exec/channel.hpp).
+  std::unique_ptr<TaskChannel[]> channels;
+  WaitPolicy wait_policy;
 
   /// Per-worker state (slot w written only by worker w — the inline
   /// master uses slot 0). The accounting is read after the pool is joined.
-  struct WorkerSlot {
-    /// Set under qmu when the worker takes a task and cleared when its
-    /// kernel returns; publish() reads it under qmu. A worker inside a
-    /// kernel cannot take new work, however long the kernel runs.
-    chk::Atomic<bool> in_kernel{false};
+  struct alignas(kCacheLine) WorkerSlot {
     double busy_ns = 0.0;      ///< kernel time
     std::uint64_t units = 0;   ///< calibrated work units executed
     util::RunningStats turnaround;
@@ -119,6 +83,28 @@ struct ThreadedExecutor::Impl {
   obs::TimelineRecorder* rec = nullptr;
   std::uint32_t master_track = 0;
   std::uint32_t worker_track0 = 0;
+
+  /// Where the master parks while waiting for any worker to post. Every
+  /// post reads it, so it sits on its own cache line.
+  alignas(kCacheLine) Parker master_parker;
+
+  // --- Master-only state, on cache lines no worker reads --------------------
+
+  // The ready FIFO. Every task becomes ready exactly once, so it is an
+  // append-only log of `expected` ids: release() and registration append
+  // at `appended`, dispatch() (inline: the master itself) takes from
+  // `head`. Nothing ever allocates.
+  alignas(kCacheLine) std::vector<std::uint64_t> queue;
+  std::size_t head = 0;
+  std::size_t appended = 0;
+  std::size_t noted = 0;  ///< `appended` when the depth was last noted
+  std::size_t queue_peak = 0;
+  /// Tasks sent to workers and not yet drained back, over all channels.
+  std::uint64_t in_hand = 0;
+  std::uint64_t submitted = 0;  ///< fully registered
+  std::uint64_t completed = 0;  ///< released
+  /// Reusable grant buffer for ShardedResolver::finish.
+  std::vector<std::uint64_t> grants;
 
   [[nodiscard]] std::uint64_t in_flight() const {
     return submitted - completed;
@@ -144,91 +130,18 @@ struct ThreadedExecutor::Impl {
     slot.busy_ns += elapsed_ns(t0, t1);
   }
 
-  /// Worker side of the completion channel: append, publish, and wake the
-  /// master only if it is parked waiting for completions.
-  // NEXUS_HOT_PATH
-  void post_completion(std::uint64_t gid) {
-    const util::NoAllocScope no_alloc("ThreadedExecutor::post_completion");
-    bool wake_master = false;
-    {
-      const std::lock_guard<chk::Mutex> lock(cmu);
-      const util::LockRankGuard rank(util::LockDomain::kCompletion);
-      // Relaxed: appends are serialized by cmu; the release store below
-      // publishes the entry to the master's lock-free reads.
-      const std::uint64_t n = posted.load(std::memory_order_relaxed);
-      completions[n] = gid;
-      posted.store(n + 1, std::memory_order_release);
-      wake_master = master_parked;
-    }
-    if (wake_master) ccv.notify_one();
-  }
-
-  /// Call with qmu held: claims one wake-up if some parked worker has not
-  /// been notified yet.
-  [[nodiscard]] bool claim_wake() {
-    if (parked == signaled) return false;
-    ++signaled;
-    return true;
-  }
-
-  /// Call with qmu held: true when no worker will take queued work
-  /// without a wake-up, because every worker is either parked and not yet
-  /// notified or inside a kernel. A worker between kernels is about to pop,
-  /// and a notified one is about to run.
-  [[nodiscard]] bool none_free() const {
-    std::uint32_t free = workers - parked + signaled;
-    for (std::uint32_t w = 0; w < workers && free > 0; ++w) {
-      // Relaxed: set under qmu (held here); a stale `true` after the
-      // kernel returned only costs a spare wake-up.
-      if (slots[w].in_kernel.load(std::memory_order_relaxed)) --free;
-    }
-    return free == 0;
-  }
-
-  /// Worker `widx`: pops the next ready task into `gid`, parking while the
-  /// queue is empty. Returns false once the pool shuts down with the queue
-  /// drained.
-  bool pop(std::uint64_t& gid, std::uint32_t widx) {
-    bool chain_wake = false;
-    {
-      std::unique_lock<chk::Mutex> lock(qmu);
-      const util::LockRankGuard rank(util::LockDomain::kRunQueue);
-      if (head == tail && !done) {
-        ++parked;
-        bool woke = false;
-        qcv.wait(lock, [this, &woke] {
-          // Every return from a wait retires one pending wake-up, even if
-          // the task was taken meanwhile and the worker waits again.
-          if (woke && signaled > 0) --signaled;
-          woke = true;
-          return done || head != tail;
-        });
-        --parked;
-      }
-      if (head == tail) return false;
-      gid = queue[head++];
-      // Relaxed: published to publish() by qmu.
-      slots[widx].in_kernel.store(true, std::memory_order_relaxed);
-      // Chain wake: the master wakes a worker only when none is free, so
-      // a worker that leaves work behind passes the wake on.
-      chain_wake = head != tail && claim_wake();
-    }
-    if (chain_wake) qcv.notify_one();
-    return true;
-  }
-
+  /// Worker `widx`: runs what arrives on its channel until it is closed.
   void worker_loop(std::uint32_t widx) {
+    TaskChannel& channel = channels[widx];
     std::uint64_t gid = 0;
-    while (pop(gid, widx)) {
+    while (channel.receive(gid, wait_policy)) {
       run_kernel(gid, widx);
-      slots[widx].in_kernel.store(false, std::memory_order_relaxed);
-      post_completion(gid);
+      channel.post(gid, master_parker);
     }
   }
 
   /// Master: releases completed task `gid` (the Maestro's Handle Finished
-  /// step) and appends the tasks it made ready to the unpublished tail of
-  /// the run queue.
+  /// step) and appends the tasks it made ready to the ready FIFO.
   // NEXUS_HOT_PATH
   void release(std::uint64_t gid) {
     const double obs0 = rec != nullptr ? rec->now_ns() : 0.0;
@@ -256,52 +169,54 @@ struct ThreadedExecutor::Impl {
   // NEXUS_HOT_PATH
   void release_posted() {
     const util::NoAllocScope no_alloc("ThreadedExecutor::release_posted");
-    // Acquire: pairs with post_completion's release store, so the entries
-    // below it are visible.
-    const std::uint64_t n = posted.load(std::memory_order_acquire);
-    while (completed < n) release(completions[completed]);
+    for (std::uint32_t w = 0; w < workers; ++w) {
+      in_hand -= channels[w].drain([this](std::uint64_t gid) { release(gid); });
+    }
   }
 
-  /// Master: publishes the appended run-queue entries under one lock and
-  /// wakes a worker only when none is free to take them (a free worker
-  /// takes the work itself and chain-wakes if it leaves some behind).
-  void publish() {
-    if (appended == tail) return;  // tail is master-written: no race
-    std::size_t depth = 0;
-    bool wake = false;
-    {
-      const std::lock_guard<chk::Mutex> lock(qmu);
-      const util::LockRankGuard rank(util::LockDomain::kRunQueue);
-      tail = appended;
-      depth = tail - head;
+  /// Master: hands ready tasks to the workers. Idle workers get work
+  /// first, awake ones before parked ones; then a worker with one task in
+  /// hand gets a second, buffered one. A worker inside a long kernel
+  /// therefore holds back at most one task while a peer is idle. The
+  /// inline master only notes the FIFO depth.
+  // NEXUS_HOT_PATH
+  void dispatch() {
+    const util::NoAllocScope no_alloc("ThreadedExecutor::dispatch");
+    if (appended != noted) {
+      noted = appended;
+      const std::size_t depth = appended - head;
       queue_peak = std::max(queue_peak, depth);
-      wake = parked > signaled && none_free() && claim_wake();
+      if (rec != nullptr) {
+        obs::record_here(obs::EventKind::kReadyDepth, obs::here_now_ns(), 0.0,
+                         0, depth);
+      }
     }
-    if (rec != nullptr) {
-      obs::record_here(obs::EventKind::kReadyDepth, obs::here_now_ns(), 0.0,
-                       0, depth);
+    const std::uint64_t capacity =
+        std::uint64_t{workers} * TaskChannel::kDepth;
+    for (int pass = 0; pass < 3; ++pass) {
+      for (std::uint32_t w = 0; w < workers; ++w) {
+        if (head == appended || in_hand == capacity) return;
+        TaskChannel& channel = channels[w];
+        const std::uint32_t held = channel.held();
+        const bool take = pass == 0   ? held == 0 && !channel.worker_sleeping()
+                          : pass == 1 ? held == 0
+                                      : held < TaskChannel::kDepth;
+        if (!take) continue;
+        channel.send(queue[head++]);
+        ++in_hand;
+      }
     }
-    if (wake) qcv.notify_one();
   }
 
-  /// Master: blocks until at least one unreleased completion is posted.
-  /// Call only with dispatched work outstanding (appended > completed).
+  /// Master: dispatches, then waits until some worker posted a completion.
+  /// Call only with work outstanding (appended > completed).
   void wait_for_completion() {
-    publish();
-    // Relaxed: a hint only; release_posted() does the acquire read.
-    if (posted.load(std::memory_order_relaxed) > completed) return;
-    std::unique_lock<chk::Mutex> lock(cmu);
-    const util::LockRankGuard rank(util::LockDomain::kCompletion);
-    master_parked = true;
-    // Relaxed: the value is written under cmu, which this wait holds.
-    ccv.wait(lock, [this] {
-      return posted.load(std::memory_order_relaxed) > completed;
-    });
-    master_parked = false;
+    dispatch();
+    await_posts({channels.get(), workers}, master_parker, wait_policy);
   }
 
-  /// Tasks dispatched (or about to be) whose release is still pending:
-  /// their completions are the only events that can unblock the master.
+  /// Tasks ready (or dispatched) whose release is still pending: their
+  /// completions are the only events that can unblock the master.
   [[nodiscard]] std::uint64_t outstanding() const {
     return appended - completed;
   }
@@ -333,10 +248,11 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
   im.serials.resize(im.expected);
   im.exec_ns.resize(im.expected);
   im.submitted_at.resize(im.expected);
-  // Both logs hold one entry per task, so posting and dispatching never
-  // allocate (ShardedResolver::finish sizes the grant buffer once).
+  // The ready FIFO holds one entry per task, so dispatching never
+  // allocates (ShardedResolver::finish sizes the grant buffer once).
   im.queue.resize(im.expected);
-  if (!inline_mode) im.completions.resize(im.expected);
+  im.channels = std::make_unique<TaskChannel[]>(im.workers);
+  im.wait_policy = WaitPolicy::for_pool(im.workers);
   im.slots = std::make_unique<Impl::WorkerSlot[]>(config_.threads);
   // Kernel state (stream buffers, matmul tiles) is built here, before any
   // worker thread exists: each body is then touched by exactly one worker.
@@ -373,12 +289,7 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
   // of letting SweepDriver contain the point's failure.
   const auto shutdown_pool = [&im, &pool, &links] {
     if (pool.empty()) return;
-    {
-      const std::lock_guard<chk::Mutex> lock(im.qmu);
-      const util::LockRankGuard rank(util::LockDomain::kRunQueue);
-      im.done = true;
-    }
-    im.qcv.notify_all();
+    for (std::uint32_t w = 0; w < im.workers; ++w) im.channels[w].close();
     for (std::size_t w = 0; w < pool.size(); ++w) {
       if (pool[w].joinable()) {
         pool[w].join();
@@ -434,12 +345,12 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
   // wait and the release work.
   const auto await_completions = [&im, inline_mode](const auto& waited) {
     if (inline_mode) {
-      im.publish();
+      im.dispatch();
       const std::uint64_t next_gid = im.queue[im.head++];
       im.run_kernel(next_gid, 0);
       waited();
       im.release(next_gid);
-      im.publish();
+      im.dispatch();
     } else {
       im.wait_for_completion();
       waited();
@@ -451,7 +362,7 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
   std::uint64_t gid = 0;
   while (!report.deadlocked) {
     if (!inline_mode) im.release_posted();
-    im.publish();
+    im.dispatch();
     auto record = stream->next();
     if (!record.has_value()) break;
     if (gid >= im.expected) {
@@ -525,14 +436,14 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
                     record->serial, obs::kNoPred);
       }
     }
-    // Dispatched with the next publish (top of the loop, or before the
-    // master blocks).
+    // Dispatched with the next dispatch() (top of the loop, or before the
+    // master waits).
     if (session.ready()) im.queue[im.appended++] = gid;
     ++gid;
   }
 
   // --- Stream exhausted (or aborted): release until everything completed ----
-  im.publish();
+  im.dispatch();
   while (!report.deadlocked && im.completed < im.submitted) {
     if (im.outstanding() == 0) {
       abort_wedged();

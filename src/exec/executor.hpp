@@ -8,26 +8,36 @@
 // (core::Resolver semantics behind BankPartition-keyed shards), and is the
 // resolver's *only* caller — it also performs every release (the Maestro's
 // Handle Finished block) and dispatches the tasks a release makes ready.
-// The `threads` workers are the Task Controllers: each pops a ready task
-// from the shared FIFO run queue, runs a spin-calibrated synthetic kernel
-// honoring the record's exec_time, and posts the task's id on a completion
-// channel. Workers never touch the dependence tables, so the table cache
-// lines stay on the master's core and no worker ever waits on a shard.
+// The `threads` workers are the Task Controllers: each runs the tasks
+// that arrive on its own channel with a spin-calibrated synthetic kernel
+// honoring the record's exec_time, and posts each finished id back on the
+// same channel. Workers never touch the dependence tables, so the table
+// cache lines stay on the master's core and no worker ever waits on a
+// shard.
+//
+// Channel protocol (exec/channel.hpp). Each worker has one TaskChannel: a
+// master -> worker inbox of depth 2 (the running task plus one buffered
+// task, the Task Controller's double buffer) and a worker -> master
+// outbox. Both rings are single-producer/single-consumer and published by
+// one atomic counter each, so the steady state takes no lock. The master
+// keeps the ready tasks in a private FIFO and dispatches them itself:
+// idle workers first, awake ones before parked ones, then a second,
+// buffered task to a busy worker. A worker never holds more than 2 tasks,
+// so a long kernel holds back at most one task while a peer is idle.
 //
 // The master releases posted completions in batches: before each
-// registration (a cheap atomic check), and while stalled on table/pool
-// space (blocking only when nothing has been posted). Grants are published
-// to the run queue under one lock per batch.
+// registration, and while stalled on table/pool space or waiting for the
+// last tasks (waiting only when nothing has been posted).
 //
-// Wake rule. The master is the serial resource, so it rarely pays for a
-// futex wake: after publishing grants it wakes a parked worker only when
-// *no* worker is free to take them, i.e. every worker is either parked or
-// inside a kernel. A worker between kernels is about to pop the work
-// itself; a worker inside a kernel cannot, however long the kernel runs,
-// so queued work never waits behind a long kernel while a peer sleeps. A
-// worker that pops a task and leaves more behind wakes one parked peer (a
-// chain wake), so a burst of grants still fans out to every worker. A
-// worker notifies the master only when the master is parked.
+// Waiting policy. A worker with an empty inbox, or the master with no
+// completion to drain, first pause-spins for a bounded number of polls —
+// only when the workers plus the master fit on the host's hardware
+// threads — then yields for a short bounded number of polls, then parks
+// on its own mutex/condvar (a worker's lives in its channel). Parking is
+// a Dekker-style handshake on a `sleeping` flag that the waiter re-checks
+// after setting and the producer checks after publishing, so no wake-up
+// is lost and a producer pays for a notify only when its consumer really
+// sleeps.
 //
 // Deadlock diagnosis is exact and poll-free: only the master grants, so a
 // stall with nothing in flight, or tasks in flight with none dispatched and
@@ -126,6 +136,8 @@ struct ExecReport {
   core::Resolver::Stats resolver;
   ShardedResolver::TableStats tables;
   ShardedResolver::SyncStats sync;
+  /// Most ready tasks the master held in its FIFO at once (not yet handed
+  /// to a worker; inline: not yet run).
   std::size_t ready_queue_peak = 0;
   std::uint32_t threads = 0;
   std::uint32_t banks = 0;

@@ -17,9 +17,8 @@ namespace {
 // Thread-local invariant state. Plain counters — every rule here is
 // per-thread by construction, so no synchronization is needed.
 thread_local int tl_shard_locks = 0;
-thread_local int tl_run_queue_locks = 0;
+thread_local int tl_park_locks = 0;
 thread_local int tl_chk_locks = 0;
-thread_local int tl_completion_locks = 0;
 thread_local int tl_no_alloc_depth = 0;
 thread_local int tl_allow_alloc_depth = 0;
 thread_local const char* tl_no_alloc_label = nullptr;
@@ -31,12 +30,10 @@ int& counter_for(LockDomain domain) {
   switch (domain) {
     case LockDomain::kShard:
       return tl_shard_locks;
-    case LockDomain::kRunQueue:
-      return tl_run_queue_locks;
+    case LockDomain::kPark:
+      return tl_park_locks;
     case LockDomain::kChk:
       return tl_chk_locks;
-    case LockDomain::kCompletion:
-      return tl_completion_locks;
   }
   return tl_chk_locks;  // unreachable
 }
@@ -57,52 +54,29 @@ LockRankGuard::LockRankGuard(LockDomain domain) : domain_(domain) {
       invariant_fail("shard lock acquired while a shard lock is held",
                      "lock-rank");
     }
-    if (tl_run_queue_locks > 0) {
-      invariant_fail("shard lock acquired while run-queue lock is held",
+    if (tl_park_locks > 0) {
+      invariant_fail("shard lock acquired while a park lock is held",
                      "lock-rank");
     }
     if (tl_chk_locks > 0) {
       invariant_fail("shard lock acquired while schedcheck lock is held",
                      "lock-rank");
     }
-    if (tl_completion_locks > 0) {
-      invariant_fail("shard lock acquired while completion lock is held",
+  } else if (domain == LockDomain::kPark) {
+    if (tl_park_locks > 0) {
+      invariant_fail("park lock acquired while a park lock is held",
                      "lock-rank");
     }
-  } else if (domain == LockDomain::kRunQueue) {
-    if (tl_run_queue_locks > 0) {
-      invariant_fail("run-queue lock acquired recursively", "lock-rank");
-    }
     if (tl_shard_locks > 0) {
-      invariant_fail("run-queue lock acquired while a shard lock is held",
+      invariant_fail("park lock acquired while a shard lock is held",
                      "lock-rank");
     }
     if (tl_chk_locks > 0) {
-      invariant_fail("run-queue lock acquired while schedcheck lock is held",
-                     "lock-rank");
-    }
-    if (tl_completion_locks > 0) {
-      invariant_fail("run-queue lock acquired while completion lock is held",
-                     "lock-rank");
-    }
-  } else if (domain == LockDomain::kCompletion) {
-    if (tl_completion_locks > 0) {
-      invariant_fail("completion lock acquired recursively", "lock-rank");
-    }
-    if (tl_shard_locks > 0) {
-      invariant_fail("completion lock acquired while a shard lock is held",
-                     "lock-rank");
-    }
-    if (tl_run_queue_locks > 0) {
-      invariant_fail("completion lock acquired while run-queue lock is held",
-                     "lock-rank");
-    }
-    if (tl_chk_locks > 0) {
-      invariant_fail("completion lock acquired while schedcheck lock is held",
+      invariant_fail("park lock acquired while schedcheck lock is held",
                      "lock-rank");
     }
   } else {
-    // kChk is a leaf: fine under shard / run-queue locks, but never
+    // kChk is a leaf: fine under shard / park locks, but never
     // recursive (the schedcheck runtime must not hook itself).
     if (tl_chk_locks > 0) {
       invariant_fail("schedcheck lock acquired recursively", "lock-rank");

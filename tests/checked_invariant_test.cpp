@@ -128,41 +128,31 @@ TEST(CheckedInvariantsDeath, TwoShardLocksAbort) {
       "nexuspp-checked: shard lock acquired while a shard lock is held");
 }
 
-TEST(CheckedInvariantsDeath, RunQueueUnderShardLockAborts) {
+TEST(CheckedInvariantsDeath, ParkUnderShardLockAborts) {
   EXPECT_DEATH(
       {
         const LockRankGuard shard(LockDomain::kShard);
-        const LockRankGuard queue(LockDomain::kRunQueue);
+        const LockRankGuard park(LockDomain::kPark);
       },
-      "nexuspp-checked: run-queue lock acquired while a shard lock is held");
+      "nexuspp-checked: park lock acquired while a shard lock is held");
 }
 
-TEST(CheckedInvariantsDeath, ShardUnderRunQueueLockAborts) {
+TEST(CheckedInvariantsDeath, ShardUnderParkLockAborts) {
   EXPECT_DEATH(
       {
-        const LockRankGuard queue(LockDomain::kRunQueue);
+        const LockRankGuard park(LockDomain::kPark);
         const LockRankGuard shard(LockDomain::kShard);
       },
-      "nexuspp-checked: shard lock acquired while run-queue lock is held");
+      "nexuspp-checked: shard lock acquired while a park lock is held");
 }
 
-TEST(CheckedInvariantsDeath, CompletionUnderRunQueueLockAborts) {
+TEST(CheckedInvariantsDeath, NestedParkLocksAbort) {
   EXPECT_DEATH(
       {
-        const LockRankGuard queue(LockDomain::kRunQueue);
-        const LockRankGuard completion(LockDomain::kCompletion);
+        const LockRankGuard first(LockDomain::kPark);
+        const LockRankGuard second(LockDomain::kPark);
       },
-      "nexuspp-checked: completion lock acquired while run-queue lock is "
-      "held");
-}
-
-TEST(CheckedInvariantsDeath, ShardUnderCompletionLockAborts) {
-  EXPECT_DEATH(
-      {
-        const LockRankGuard completion(LockDomain::kCompletion);
-        const LockRankGuard shard(LockDomain::kShard);
-      },
-      "nexuspp-checked: shard lock acquired while completion lock is held");
+      "nexuspp-checked: park lock acquired while a park lock is held");
 }
 
 TEST(CheckedInvariantsDeath, HotPathAllocationAborts) {

@@ -2,7 +2,9 @@
 // execution order across thread counts, bank (lock-shard) counts, both
 // match modes and several seeds; single-thread determinism; behaviour
 // under core oversubscription; master-side release while stalled on small
-// tables; park/wake churn; wake-ups while a worker is in a long kernel;
+// tables; park/wake churn; 8 and 16 workers on any host; task-channel
+// rings wrapped by a long stream; wake-ups while a worker is in a long
+// kernel;
 // capacity/structural deadlock diagnosis; and the registry/report contract
 // of the engine adapter.
 //
@@ -62,6 +64,25 @@ OracleInput oracle_input(const std::vector<trace::TaskRecord>& tasks) {
   return in;
 }
 
+/// Validates a recorded completion order (serials) against the oracle.
+void expect_oracle_valid(const std::vector<trace::TaskRecord>& tasks,
+                         MatchMode mode,
+                         const std::vector<std::uint64_t>& serials) {
+  const auto in = oracle_input(tasks);
+  std::vector<std::uint64_t> order;
+  for (const auto serial : serials) {
+    const auto it = in.index_of.find(serial);
+    if (it == in.index_of.end()) {
+      ADD_FAILURE() << "recorder saw unknown serial " << serial;
+      return;
+    }
+    order.push_back(it->second);
+  }
+  const auto violation =
+      GraphOracle::validate_completion_order(mode, in.params, order);
+  EXPECT_TRUE(violation.empty()) << violation;
+}
+
 /// Runs `tasks` through a ThreadedExecutor and validates the recorded
 /// completion order against the oracle. Returns the report.
 exec::ExecReport run_validated(const std::vector<trace::TaskRecord>& tasks,
@@ -73,20 +94,7 @@ exec::ExecReport run_validated(const std::vector<trace::TaskRecord>& tasks,
       std::make_shared<const std::vector<trace::TaskRecord>>(tasks)));
   EXPECT_FALSE(report.deadlocked) << report.diagnosis;
   EXPECT_EQ(report.tasks_completed, tasks.size());
-
-  const auto in = oracle_input(tasks);
-  std::vector<std::uint64_t> order;
-  for (const auto serial : recorder.order()) {
-    const auto it = in.index_of.find(serial);
-    if (it == in.index_of.end()) {
-      ADD_FAILURE() << "recorder saw unknown serial " << serial;
-      return report;
-    }
-    order.push_back(it->second);
-  }
-  const auto violation = GraphOracle::validate_completion_order(
-      cfg.match_mode, in.params, order);
-  EXPECT_TRUE(violation.empty()) << violation;
+  expect_oracle_valid(tasks, cfg.match_mode, recorder.order());
   return report;
 }
 
@@ -355,6 +363,55 @@ TEST(ExecThreads, ParkWakeChurnCompletes) {
       }
     }
   }
+}
+
+TEST(ExecThreads, ManyWorkersOnAnyHostFinishOracleValid) {
+  // 8 and 16 workers: on a host with fewer hardware threads the waits
+  // skip the spin phase and end in parks, on a larger one they spin. Either
+  // way every run must finish (a lost wake-up hangs it) in a valid order.
+  const auto tasks = small_dag(8216, 400);
+  for (const std::uint32_t threads : {8u, 16u}) {
+    SCOPED_TRACE(threads);
+    exec::ExecConfig cfg;
+    cfg.threads = threads;
+    cfg.duration_scale = 0.01;
+    for (int run = 0; run < 25; ++run) {
+      const auto report = run_validated(tasks, cfg);
+      if (report.deadlocked || report.tasks_completed != tasks.size()) {
+        FAIL() << "run " << run << " did not complete";
+      }
+    }
+  }
+}
+
+TEST(ExecThreads, LongStreamWrapsEveryChannelRing) {
+  // 12,000 zero-length tasks on 2 workers: each worker's depth-2 inbox
+  // and outbox counters go round their rings thousands of times.
+  struct Recorder final : core::ExecutionObserver {
+    core::CompletionRecorder order;
+    std::atomic<std::uint64_t> ran[2] = {};
+    void on_completed(std::uint64_t serial, std::uint32_t worker) override {
+      order.on_completed(serial, worker);
+      ran[worker].fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  const auto tasks = small_dag(10007, 12'000);
+  Recorder recorder;
+  exec::ExecConfig cfg;
+  cfg.threads = 2;
+  cfg.duration_scale = 0.0;
+  cfg.observer = &recorder;
+  exec::ThreadedExecutor executor(cfg);
+  const auto report = executor.run(std::make_unique<trace::VectorStream>(
+      std::make_shared<const std::vector<trace::TaskRecord>>(tasks)));
+  ASSERT_FALSE(report.deadlocked) << report.diagnosis;
+  EXPECT_EQ(report.tasks_completed, tasks.size());
+  expect_oracle_valid(tasks, cfg.match_mode, recorder.order.order());
+  EXPECT_EQ(recorder.ran[0].load() + recorder.ran[1].load(), tasks.size());
+  // The master fills idle workers first, so both take part; 100 tasks is
+  // 50 trips round a depth-2 ring.
+  EXPECT_GT(recorder.ran[0].load(), 100u);
+  EXPECT_GT(recorder.ran[1].load(), 100u);
 }
 
 /// Yields one long task, then — once that task's kernel has started and

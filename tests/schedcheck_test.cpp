@@ -6,15 +6,17 @@
 // (the chk:: wrappers ARE the std primitives) and skips everything else.
 // Built with it:
 //   * RaceChecker unit tests drive hand-built event sequences with
-//     explicit thread ids and assert exact verdicts (race kind, dedup,
-//     purge-on-reclaim) — the checker is pure logic over those ids.
+//     explicit thread ids and assert exact verdicts (race kind, dedup)
+//     — the checker is pure logic over those ids.
 //   * ScheduleController tests pin determinism (same seed -> same trace),
 //     seed sensitivity, and the deadlock / step-limit diagnoses.
-//   * Workload sweeps run ShardedResolver submit/finish chains over seed
-//     sets and demand completion with zero race reports.
-//   * The mutant test flips chk::Faults::publish_local_id_late, proves a
-//     bounded schedule budget finds the reintroduced race, and replays
-//     the found seed to the bit-identical trace and report signature.
+//   * Workload sweeps run ShardedResolver submit/finish chains and the
+//     executor's task-channel protocol (master + 2 workers, forced parks)
+//     over seed sets and demand completion with zero race reports.
+//   * The mutant tests flip chk::Faults::publish_local_id_late and
+//     chk::Faults::send_before_write, prove a bounded schedule budget
+//     finds each reintroduced race, and replay the found seed to the
+//     bit-identical trace and report signature.
 
 #include <gtest/gtest.h>
 
@@ -51,6 +53,8 @@ TEST(SchedCheck, RequiresSchedcheckBuild) {
 
 #else  // NEXUSPP_SCHEDCHECK
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -65,6 +69,7 @@ TEST(SchedCheck, RequiresSchedcheckBuild) {
 #include "chk/race_checker.hpp"
 #include "chk/session.hpp"
 #include "core/types.hpp"
+#include "exec/channel.hpp"
 #include "exec/sharded_resolver.hpp"
 
 namespace nexuspp {
@@ -174,30 +179,6 @@ TEST(RaceChecker, DuplicatePairReportedOnce) {
   checker.on_plain(1, &a, true, kFile, 2);
   checker.on_plain(1, &a, true, kFile, 2);  // same pair again
   EXPECT_EQ(checker.reports().size(), 1u);
-}
-
-TEST(RaceChecker, UseAfterReclaimDetected) {
-  RaceChecker checker;
-  int block[4] = {};
-  checker.on_plain(0, &block[1], false, kFile, 1);
-  checker.on_reclaim(1, block, sizeof(block), kFile, 2);
-  ASSERT_EQ(checker.reports().size(), 1u);
-  EXPECT_EQ(checker.reports()[0].kind, RaceReport::Kind::kUseAfterReclaim);
-}
-
-TEST(RaceChecker, OrderedReclaimIsCleanAndPurgesShadow) {
-  RaceChecker checker;
-  int block[4] = {};
-  int flag = 0;
-  checker.on_plain(0, &block[1], true, kFile, 1);
-  checker.on_release(0, &flag, OpKind::kAtomicStore, kFile, 2);
-  checker.on_acquire(1, &flag, OpKind::kAtomicLoad, kFile, 3);
-  checker.on_reclaim(1, block, sizeof(block), kFile, 4);
-  EXPECT_TRUE(checker.reports().empty());
-  // The address range was purged: a recycled allocation at the same
-  // address must not alias the pre-reclaim history.
-  checker.on_plain(2, &block[1], true, kFile, 5);
-  EXPECT_TRUE(checker.reports().empty());
 }
 
 TEST(RaceChecker, ReportCarriesLocations) {
@@ -472,6 +453,84 @@ TEST(SchedExploration, ResolverChainIsRaceFree) {
   }
 }
 
+/// The executor's Task Controller channel protocol: a master and 2
+/// workers over real exec::TaskChannels (depth-2 inboxes) with a
+/// WaitPolicy of no spins and no yields, so every wait parks. The master
+/// drains posts, sends while a worker has room, and parks when it can do
+/// neither; each worker echoes the ids it receives. `tasks` > 2 * kDepth
+/// wraps every ring.
+struct ChannelWorkload {
+  static constexpr std::uint32_t kWorkers = 2;
+
+  explicit ChannelWorkload(std::uint64_t tasks)
+      : total(tasks), echoed(tasks, 0) {}
+
+  [[nodiscard]] std::vector<std::function<void()>> threads() {
+    const exec::WaitPolicy park_at_once{};
+    const auto master = [this, park_at_once] {
+      std::uint64_t next = 0;
+      std::uint64_t done = 0;
+      while (done < total) {
+        for (auto& channel : channels) {
+          done += channel.drain([this](std::uint64_t gid) { ++echoed[gid]; });
+        }
+        for (auto& channel : channels) {
+          while (next < total && channel.held() < exec::TaskChannel::kDepth) {
+            channel.send(next++);
+          }
+        }
+        if (done < total) {
+          exec::await_posts(channels, master_parker, park_at_once);
+        }
+      }
+      for (auto& channel : channels) channel.close();
+    };
+    std::vector<std::function<void()>> out = {master};
+    for (std::uint32_t w = 0; w < kWorkers; ++w) {
+      out.emplace_back([this, w, park_at_once] {
+        std::uint64_t gid = 0;
+        while (channels[w].receive(gid, park_at_once)) {
+          channels[w].post(gid, master_parker);
+        }
+      });
+    }
+    return out;
+  }
+
+  /// Every id came back exactly once (meaningful on real code only: the
+  /// mutant may echo a stale id).
+  [[nodiscard]] bool each_echoed_once() const {
+    return std::all_of(echoed.begin(), echoed.end(),
+                       [](std::uint32_t n) { return n == 1; });
+  }
+
+  std::uint64_t total;
+  std::vector<std::uint32_t> echoed;  ///< master-only
+  std::array<exec::TaskChannel, kWorkers> channels;
+  exec::Parker master_parker;
+};
+
+TEST(SchedExploration, TaskChannelIsRaceFree) {
+  // Random walks only. Under PCT's fixed priorities, a parked worker with
+  // nothing to do and the parked master keep waking each other (the
+  // controller counts the unlock inside every controlled condvar wait as
+  // progress) and starve the low-priority worker that holds the task
+  // both wait for — a livelock of the model, not of the protocol.
+  for (const auto& policy : sweep_policies(60, 0)) {
+    ChannelWorkload workload(7);
+    RaceChecker checker;
+    ScheduleController controller(policy);
+    chk::SessionScope scope(&controller, &checker);
+    const auto outcome = controller.run(workload.threads());
+    ASSERT_TRUE(outcome.completed())
+        << controller.seed_banner() << ": " << outcome.diagnosis;
+    EXPECT_TRUE(checker.reports().empty())
+        << "seed " << policy.seed << ": "
+        << checker.reports()[0].to_string();
+    EXPECT_TRUE(workload.each_echoed_once()) << controller.seed_banner();
+  }
+}
+
 // --- The mutant: PR 6 publication race, rediscovered and replayed ------------
 
 struct MutantScope {
@@ -487,8 +546,10 @@ struct Detection {
   ScheduleOutcome::Kind outcome = ScheduleOutcome::Kind::kCompleted;
 };
 
-Detection run_mutant_schedule(const SchedulePolicy& policy) {
-  ResolverChainWorkload workload(2);
+/// Runs one schedule of `Workload(tasks)` under a fresh checker.
+template <class Workload>
+Detection run_schedule(const SchedulePolicy& policy, std::uint64_t tasks) {
+  Workload workload(tasks);
   RaceChecker checker;
   Detection out;
   {
@@ -504,8 +565,11 @@ Detection run_mutant_schedule(const SchedulePolicy& policy) {
   return out;
 }
 
-TEST(SchedExploration, MutantPublicationRaceIsFoundAndReplays) {
-  const MutantScope mutant;
+/// The mutant contract: some schedule within a bounded budget reports a
+/// race, and replaying its seed reproduces the identical interleaving and
+/// the identical racing pair — that is the debugging contract.
+void expect_found_and_replayed(
+    const std::function<Detection(const SchedulePolicy&)>& run) {
   // Bounded budget: the CI gate is "found within kBudget schedules", the
   // same contract a nightly sweep would enforce.
   constexpr int kBudget = 200;
@@ -515,7 +579,7 @@ TEST(SchedExploration, MutantPublicationRaceIsFoundAndReplays) {
   bool detected = false;
   for (const auto& policy : sweep_policies(150, 50)) {
     ++attempts;
-    const auto result = run_mutant_schedule(policy);
+    const auto result = run(policy);
     if (!result.reports.empty()) {
       found_policy = policy;
       found = result;
@@ -528,17 +592,19 @@ TEST(SchedExploration, MutantPublicationRaceIsFoundAndReplays) {
                         << " schedules";
   EXPECT_LE(attempts, kBudget);
 
-  // Replay: the banner seed must reproduce the identical interleaving
-  // and the identical racing pair — that is the debugging contract.
-  const auto replay = run_mutant_schedule(found_policy);
+  const auto replay = run(found_policy);
   EXPECT_TRUE(traces_equal(found.trace, replay.trace))
       << "replay of seed " << found_policy.seed
       << " diverged from the original failing schedule";
   EXPECT_EQ(found.reports, replay.reports);
   EXPECT_EQ(found.outcome, replay.outcome);
+}
 
-  // The racing pair is the real one: both sides live in the resolver.
-  ASSERT_FALSE(found.reports.empty());
+TEST(SchedExploration, MutantPublicationRaceIsFoundAndReplays) {
+  const MutantScope mutant;
+  expect_found_and_replayed([](const SchedulePolicy& policy) {
+    return run_schedule<ResolverChainWorkload>(policy, 2);
+  });
 }
 
 TEST(SchedExploration, MutantDisabledSameSeedsAreClean) {
@@ -547,10 +613,24 @@ TEST(SchedExploration, MutantDisabledSameSeedsAreClean) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     SchedulePolicy policy;
     policy.seed = seed;
-    const auto result = run_mutant_schedule(policy);
+    const auto result = run_schedule<ResolverChainWorkload>(policy, 2);
     EXPECT_TRUE(result.reports.empty()) << "seed " << seed;
     EXPECT_EQ(result.outcome, ScheduleOutcome::Kind::kCompleted);
   }
+}
+
+// --- The mutant: a task-channel send that publishes before it writes --------
+
+struct SendEarlyScope {
+  SendEarlyScope() { chk::Faults::set_send_before_write(true); }
+  ~SendEarlyScope() { chk::Faults::set_send_before_write(false); }
+};
+
+TEST(SchedExploration, MutantChannelSendRaceIsFoundAndReplays) {
+  const SendEarlyScope mutant;
+  expect_found_and_replayed([](const SchedulePolicy& policy) {
+    return run_schedule<ChannelWorkload>(policy, 5);
+  });
 }
 
 }  // namespace
