@@ -185,27 +185,74 @@ TEST(ExecThreads, HaloStencilRangeModeAcrossShards) {
 
 // --- Determinism anchor -------------------------------------------------------
 
-TEST(ExecThreads, SingleThreadCompletionOrderIsStable) {
-  const auto tasks = small_dag(42);
-  const auto run_once = [&tasks] {
-    core::CompletionRecorder recorder;
-    exec::ExecConfig cfg;
-    cfg.threads = 1;
-    cfg.banks = 2;
-    cfg.duration_scale = 0.0;  // zero-length kernels: order is pure protocol
-    cfg.observer = &recorder;
-    exec::ThreadedExecutor executor(cfg);
-    const auto report = executor.run(std::make_unique<trace::VectorStream>(
-        std::make_shared<const std::vector<trace::TaskRecord>>(tasks)));
-    EXPECT_FALSE(report.deadlocked) << report.diagnosis;
-    EXPECT_EQ(report.tasks_completed, tasks.size());
-    return recorder.order();
+/// Runs `tasks` inline (threads = 1, zero-length kernels: the order is
+/// pure protocol) and returns the recorded completion order.
+std::vector<std::uint64_t> inline_order(
+    const std::vector<trace::TaskRecord>& tasks, exec::ExecConfig cfg) {
+  core::CompletionRecorder recorder;
+  cfg.threads = 1;
+  cfg.duration_scale = 0.0;
+  cfg.observer = &recorder;
+  exec::ThreadedExecutor executor(cfg);
+  const auto report = executor.run(std::make_unique<trace::VectorStream>(
+      std::make_shared<const std::vector<trace::TaskRecord>>(tasks)));
+  EXPECT_FALSE(report.deadlocked) << report.diagnosis;
+  EXPECT_EQ(report.tasks_completed, tasks.size());
+  return recorder.order();
+}
+
+TEST(ExecThreads, SingleThreadCompletionOrderIsFrozen) {
+  // threads=1 runs inline, so its completion order is a pure function of
+  // the resolver protocol: registration order, grant order per release,
+  // and the resumable stall cursor. These orders were recorded from the
+  // executor and must stay bit-identical through any change to the
+  // resolver; a change here changes the protocol, not just the speed.
+  const std::vector<std::uint64_t> dag42 = {
+    0, 3, 7, 9, 10, 11, 17, 20, 29, 4, 1, 12, 15, 69,
+    6, 16, 33, 2, 23, 22, 5, 36, 45, 8, 27, 24, 14, 71,
+    13, 28, 32, 34, 18, 19, 40, 39, 21, 41, 66, 25, 35, 26,
+    59, 102, 92, 37, 30, 42, 38, 31, 46, 55, 54, 63, 52, 43,
+    57, 58, 47, 48, 44, 53, 139, 79, 70, 49, 51, 50, 133, 72,
+    61, 56, 82, 62, 60, 64, 84, 65, 73, 94, 67, 75, 74, 117,
+    145, 81, 68, 90, 83, 76, 88, 77, 96, 107, 78, 97, 101, 103,
+    108, 143, 80, 85, 86, 91, 134, 106, 87, 89, 99, 93, 121, 122,
+    98, 110, 95, 104, 126, 105, 100, 148, 132, 109, 116, 111, 113, 112,
+    115, 118, 114, 119, 127, 129, 128, 120, 123, 125, 166, 124, 138, 130,
+    131, 144, 154, 140, 135, 147, 152, 155, 153, 142, 136, 137, 146, 156,
+    141, 151, 149, 165, 150, 170, 160, 169, 157, 158, 159, 171, 163, 161,
+    162, 168, 167, 164, 181, 176, 172, 173, 201, 202, 174, 208, 175, 177,
+    254, 179, 178, 180, 182, 184, 197, 183, 188, 185, 187, 186, 191, 193,
+    190, 198, 189, 192, 255, 194, 204, 216, 195, 196, 199, 200, 205, 213,
+    206, 203, 211, 209, 210, 212, 207, 217, 215, 218, 214, 224, 237, 221,
+    232, 219, 220, 228, 231, 235, 229, 260, 222, 233, 238, 227, 236, 239,
+    223, 246, 256, 248, 294, 225, 226, 230, 242, 247, 234, 241, 269, 240,
+    245, 243, 251, 244, 250, 258, 249, 261, 282, 252, 253, 279, 262, 259,
+    257, 275, 264, 267, 263, 268, 272, 265, 270, 278, 284, 274, 273, 295,
+    266, 292, 271, 280, 277, 299, 285, 276, 283, 287, 286, 281, 288, 297,
+    291, 289, 296, 290, 298, 293,
   };
-  const auto first = run_once();
-  const auto second = run_once();
-  ASSERT_EQ(first.size(), tasks.size());
-  EXPECT_EQ(first, second)
-      << "threads=1 must execute inline and deterministically";
+  EXPECT_EQ(inline_order(small_dag(42), exec::ExecConfig{}), dag42);
+
+  // Range mode with halo spans, on tables small enough that registration
+  // stalls and resumes mid-task many times.
+  workloads::HaloStencilConfig halo;
+  halo.blocks = 24;
+  halo.steps = 4;
+  exec::ExecConfig cfg;
+  cfg.match_mode = MatchMode::kRange;
+  cfg.task_pool_capacity = 16;
+  cfg.dep_table_capacity = 32;
+  const std::vector<std::uint64_t> halo_order = {
+    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
+    14, 24, 15, 25, 16, 26, 17, 27, 18, 28, 19, 29, 20, 30,
+    21, 31, 22, 32, 23, 33, 34, 35, 36, 37, 38, 48, 39, 49,
+    40, 50, 41, 51, 42, 52, 43, 53, 44, 54, 45, 55, 46, 56,
+    47, 57, 58, 59, 60, 61, 62, 72, 63, 73, 64, 74, 65, 75,
+    66, 76, 67, 77, 68, 78, 69, 79, 70, 80, 71, 81, 82, 83,
+    84, 85, 86, 87, 88, 89, 90, 91, 92, 93, 94, 95,
+  };
+  EXPECT_EQ(inline_order(*workloads::make_halo_stencil_trace(halo), cfg),
+            halo_order);
 }
 
 // --- Oversubscription ---------------------------------------------------------
