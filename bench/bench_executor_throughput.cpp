@@ -3,10 +3,10 @@
 // makespans on the same streams.
 //
 // Grid per workload:
-//   exec-threads x threads {1, 2, 4, 8} x shards (banks) {1, 4} — one
-//   speedup series with threads=1/banks=1 as baseline, so the speedup
-//   column reads as *measured* parallel scaling, and the tasks/sec,
-//   per-worker-utilization and lock-contention columns show where it goes.
+//   exec-threads x threads {1, 2, 4, 8} — one speedup series with
+//   threads=1 as baseline, so the speedup column reads as *measured*
+//   parallel scaling, and the tasks/sec and per-worker-utilization
+//   columns show where it goes.
 //   nexus++ / software-rts (8 workers) — their own series; their makespan
 //   column is simulated (predicted) time for the same stream, the number
 //   the real wall-clock makespan of exec-threads sits next to.
@@ -23,7 +23,7 @@
 //   tiled-cholesky — the application-shaped factorization DAG.
 //
 // NEXUSPP_BENCH_TIMELINE=out.json additionally records a task timeline of
-// the fine-stream 4-thread / 4-shard point (the CI artifact).
+// the fine-stream 4-thread point (the CI artifact).
 //
 // Measured scaling is bounded by the *host's* cores — that is the point of
 // a real backend. On a starved host the wavefront rows still overlap
@@ -62,7 +62,7 @@ int run() {
   const auto fine_tasks = make_random_dag_trace(fine);
 
   // Resolution-bound: kernels of ~100 ns under a deep dependence web mean
-  // nearly all wall clock is spent inside the resolver shards.
+  // nearly all wall clock is spent inside the master's resolver.
   workloads::RandomDagConfig fine_stream;
   fine_stream.num_tasks = bench::full_mode() ? 30'000 : 6'000;
   fine_stream.addr_space = 48;  // dense RAW/WAR/WAW web
@@ -94,24 +94,18 @@ int run() {
   const bool want_timeline = std::getenv("NEXUSPP_BENCH_TIMELINE") != nullptr;
   for (const char* workload :
        {"wavefront", "fine-dag", "fine-stream", "tiled-cholesky"}) {
-    bool first = true;
-    for (const std::uint32_t banks : {1u, 4u}) {
-      for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
-        engine::PointSpec p;
-        p.engine = "exec-threads";
-        p.workload = workload;
-        p.params.threads = threads;
-        p.params.banks = banks;
-        p.params.timeline.enabled = want_timeline &&
-                                    std::string(workload) == "fine-stream" &&
-                                    threads == 4 && banks == 4;
-        p.series = std::string(workload) + "/real";
-        p.baseline = first;
-        first = false;
-        p.label = std::to_string(threads) + " thr / " +
-                  std::to_string(banks) + (banks == 1 ? " shard" : " shards");
-        spec.point(p);
-      }
+    for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
+      engine::PointSpec p;
+      p.engine = "exec-threads";
+      p.workload = workload;
+      p.params.threads = threads;
+      p.params.timeline.enabled = want_timeline &&
+                                  std::string(workload) == "fine-stream" &&
+                                  threads == 4;
+      p.series = std::string(workload) + "/real";
+      p.baseline = threads == 1;
+      p.label = std::to_string(threads) + " thr";
+      spec.point(p);
     }
     for (const char* sim_engine : {"nexus++", "software-rts"}) {
       engine::PointSpec p;
@@ -148,12 +142,6 @@ int run() {
                      ? util::fmt_f(r.report.exec_tasks_per_sec, 0)
                      : std::string("-");
         }},
-       {"lock cont.",
-        [](const engine::SweepResult& r) {
-          if (r.report.exec_lock_acquisitions == 0) return std::string("-");
-          return util::fmt_count(r.report.exec_lock_contentions) + "/" +
-                 util::fmt_count(r.report.exec_lock_acquisitions);
-        }},
        {"worker util min-max",
         [](const engine::SweepResult& r) {
           const auto& per_worker = r.report.exec_worker_utilization;
@@ -169,8 +157,7 @@ int run() {
       "wall-clock makespan falls with threads (up to the host's cores); "
       "fine-dag and fine-stream are bound by the master, which registers "
       "and releases every task, so their tasks/sec moves little with "
-      "threads beyond the first few, and the lock-contention column stays "
-      "at 0 (workers never touch the shards); worker utilization counts "
+      "threads beyond the first few; worker utilization counts "
       "kernel time only; the "
       "simulated rows are predicted time for a machine with `workers` "
       "free cores, the yardstick the measured rows sit next to.");

@@ -348,7 +348,7 @@ class ThreadLink {
 
 /// Annotates a protocol-protected *non-atomic* access: data the design
 /// serializes via a mutex or another happens-before protocol rather than
-/// via atomics (shard state, task-node local-id slots). These are the
+/// via atomics (the master-owned resolver tables). These are the
 /// accesses the happens-before checker actually races-checks.
 inline void plain_read(const void* addr,
                        std::source_location loc =
@@ -387,11 +387,6 @@ inline constexpr std::uint32_t kNoScheduleThread = ~0u;
 /// reintroduces a fixed historical bug so the explorer can prove it
 /// would have caught it (and so seed replay has a stable target).
 struct Faults {
-  /// PR 6's publication race: the per-group local-id cursor written
-  /// *after* the shard critical section instead of inside it, so a
-  /// concurrent finish can grant a task before its local id is visible.
-  [[nodiscard]] static bool publish_local_id_late() noexcept;
-  static void set_publish_local_id_late(bool on) noexcept;
   /// A task-channel send that bumps the inbox's `sent` counter *before*
   /// writing the inbox slot, so a worker can read the slot's previous
   /// occupant (exec/channel.hpp).
@@ -427,9 +422,6 @@ inline constexpr std::uint32_t kNoScheduleThread = ~0u;
 }
 
 struct Faults {
-  [[nodiscard]] static constexpr bool publish_local_id_late() noexcept {
-    return false;
-  }
   [[nodiscard]] static constexpr bool send_before_write() noexcept {
     return false;
   }

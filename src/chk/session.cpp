@@ -101,7 +101,6 @@ struct EnvAutoInstall {
 };
 EnvAutoInstall g_env_autoinstall;
 
-std::atomic<bool> g_fault_publish_late{false};
 std::atomic<bool> g_fault_send_early{false};
 
 }  // namespace
@@ -128,14 +127,6 @@ std::uint32_t schedule_thread_id() noexcept {
   // kNoTid and kNoScheduleThread are both ~0u, so an unregistered thread
   // reports "no id" without consulting the controller pointer.
   return ScheduleController::this_thread_tid();
-}
-
-bool Faults::publish_local_id_late() noexcept {
-  return g_fault_publish_late.load(std::memory_order_relaxed);
-}
-
-void Faults::set_publish_local_id_late(bool on) noexcept {
-  g_fault_publish_late.store(on, std::memory_order_relaxed);
 }
 
 bool Faults::send_before_write() noexcept {

@@ -193,7 +193,6 @@ exec::ExecConfig ThreadedExecEngine::apply(exec::ExecConfig base,
                                            const EngineParams& params) {
   base.threads = params.threads != 0 ? params.threads : params.num_workers;
   if (base.threads == 0) base.threads = 1;
-  if (params.banks != 0) base.banks = params.banks;
   if (params.task_pool_capacity != 0) {
     base.task_pool_capacity = params.task_pool_capacity;
   }
@@ -256,12 +255,9 @@ RunReport ThreadedExecEngine::run(
   r.waw_hazards = src.resolver.waw_hazards;
   r.dt_lookups = src.tables.lookups;
   r.dt_lookup_probes = src.tables.lookup_probes;
-  r.banks = src.banks;
   r.exec_tasks_per_sec = src.tasks_per_sec;
   r.exec_kernel = exec::to_string(src.kernel);
   r.exec_kernel_work_units = src.kernel_work_units;
-  r.exec_lock_acquisitions = src.sync.lock_acquisitions;
-  r.exec_lock_contentions = src.sync.lock_contentions;
   r.exec_worker_utilization = src.worker_utilization;
   if (rec != nullptr) attach_timeline(r, std::move(*rec));
   return r;

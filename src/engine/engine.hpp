@@ -18,7 +18,7 @@
 //   software-rts  — the software StarSs runtime the hardware exists to beat
 //   exec-threads  — the real concurrent executor (src/exec/): worker
 //                   threads running spin-calibrated kernels, dependency
-//                   resolution via core::Resolver behind sharded locks.
+//                   resolution via core::Resolver on the master thread.
 //                   Reports real wall-clock throughput, so its RunReport is
 //                   NOT deterministic (deterministic_report() == false).
 
@@ -48,9 +48,8 @@ struct EngineParams {
   std::uint32_t dep_table_capacity = 0;  ///< entries
   std::uint32_t kick_off_capacity = 0;   ///< ids per kick-off list
   std::uint32_t tds_buffer_capacity = 0; ///< master-side TD buffer
-  /// Dependence-table banks: the `nexus-banked` engine's scaling axis and
-  /// the `exec-threads` engine's resolver lock-shard count; other engines
-  /// ignore it. 0 keeps the config default of 1.
+  /// Dependence-table banks: the `nexus-banked` engine's scaling axis;
+  /// other engines ignore it. 0 keeps the config default of 1.
   std::uint32_t banks = 0;
   /// Worker threads of the real executor (`exec-threads` only; simulated
   /// engines ignore it). 0 defaults to num_workers, so worker-count sweeps

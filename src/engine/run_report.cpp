@@ -46,12 +46,6 @@ void RunReport::register_metrics(obs::MetricsRegistry& registry) const {
                            static_cast<double>(turnaround_ns.count()),
                        {{0.50, qs[0]}, {0.95, qs[1]}, {0.99, qs[2]}});
   }
-  if (!exec_kernel.empty() || exec_lock_acquisitions > 0) {
-    registry.counter("sync.lock_acquisitions",
-                     static_cast<double>(exec_lock_acquisitions));
-    registry.counter("sync.lock_contentions",
-                     static_cast<double>(exec_lock_contentions));
-  }
   if (exec_tasks_per_sec > 0.0) {
     registry.gauge("exec.tasks_per_sec", exec_tasks_per_sec);
     registry.gauge("exec.worker_utilization_avg",
@@ -147,9 +141,6 @@ util::Table RunReport::to_table(const std::string& title) const {
       t.row({"kernel body / work units",
              exec_kernel + " / " + util::fmt_count(exec_kernel_work_units)});
     }
-    t.row({"shard locks taken / contended",
-           util::fmt_count(exec_lock_acquisitions) + " / " +
-               util::fmt_count(exec_lock_contentions)});
     std::string workers;
     for (const auto frac : exec_worker_utilization) {
       if (!workers.empty()) workers += " ";
@@ -212,8 +203,6 @@ std::vector<std::string> RunReport::csv_header() {
           "exec_tasks_per_sec",
           "exec_kernel",
           "exec_kernel_work_units",
-          "exec_lock_acquisitions",
-          "exec_lock_contentions",
           "exec_worker_utilization",
           "obs_critical_path_ns",
           "obs_critical_path_tasks",
@@ -270,8 +259,6 @@ std::vector<std::string> RunReport::csv_row() const {
           f(exec_tasks_per_sec),
           exec_kernel,
           std::to_string(exec_kernel_work_units),
-          std::to_string(exec_lock_acquisitions),
-          std::to_string(exec_lock_contentions),
           // Averaged to keep the column a single numeric cell; per-worker
           // values live in the JSON report (exec_worker_utilization_per_worker).
           util::fmt_f(exec_worker_utilization_avg(), 4),

@@ -106,8 +106,9 @@ struct RunReport {
   /// calibrated work units executed (0 under spin — its model is time).
   std::string exec_kernel;
   std::uint64_t exec_kernel_work_units = 0;
-  /// Resolver shard-lock census: total acquisitions, and how many of
-  /// them found the lock already held (had to wait).
+  /// Never set: the resolver has one owner and no lock. Kept declared
+  /// only because perfbench/src/layers.cpp still reads both (its
+  /// `exec.executor.lock_contention_frac`, which reads 0).
   std::uint64_t exec_lock_acquisitions = 0;
   std::uint64_t exec_lock_contentions = 0;
   /// Per-worker busy/wall fraction. The CSV cell is the average (a single
@@ -137,8 +138,7 @@ struct RunReport {
   /// math — speedup_vs() compares makespans only.
   double metg_ns = 0.0;
 
-  // --- Dependence-table banking (nexus-banked + exec-threads lock shards;
-  // banks == 0 elsewhere) ------------------------------------------------------
+  // --- Dependence-table banking (nexus-banked only; banks == 0 elsewhere) ---
   std::uint32_t banks = 0;
   /// Cycles table operations spent queued behind a busy bank (the arbiter's
   /// conflict stall total).
@@ -179,7 +179,7 @@ struct RunReport {
   [[nodiscard]] double exec_worker_utilization_avg() const noexcept;
 
   /// Registers this report's telemetry — stage busy/stall, hazard counts,
-  /// sync/lock stats, bank usage, turnaround distribution, obs_* summary —
+  /// bank usage, turnaround distribution, obs_* summary —
   /// into a unified metrics registry under stable dotted names.
   void register_metrics(obs::MetricsRegistry& registry) const;
 

@@ -40,8 +40,6 @@ void ExecConfig::validate() const {
 
 ShardedResolverConfig ExecConfig::resolver_config() const {
   ShardedResolverConfig cfg;
-  cfg.shards = banks;
-  cfg.region_bytes = region_bytes;
   cfg.match_mode = match_mode;
   cfg.pool_capacity = task_pool_capacity;
   cfg.table_capacity = dep_table_capacity;
@@ -275,7 +273,6 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
   ExecReport report;
   report.tasks_expected = im.expected;
   report.threads = config_.threads;
-  report.banks = config_.banks;
 
   std::vector<std::thread> pool;
   // Fork/join happens-before edges for the race checker — without them a
@@ -480,7 +477,6 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
           : 0.0;
   report.resolver = im.resolver->resolver_stats();
   report.tables = im.resolver->table_stats();
-  report.sync = im.resolver->sync_stats();
   report.ready_queue_peak = im.queue_peak;
   report.kernel = config_.kernel.kind;
   if (!report.deadlocked && report.tasks_completed != report.tasks_expected) {

@@ -4,16 +4,17 @@
 //
 // The roles follow the paper's Nexus++ split. The master (the calling
 // thread) is the Maestro: it pulls TaskRecords from any trace::TaskStream
-// in submission order, registers them with the exec::ShardedResolver
-// (core::Resolver semantics behind BankPartition-keyed shards), and is the
-// resolver's *only* caller — it also performs every release (the Maestro's
-// Handle Finished block) and dispatches the tasks a release makes ready.
+// in submission order, registers them with the exec::ShardedResolver (one
+// core::TaskPool + core::DependenceTable + core::Resolver stack), and is
+// the resolver's *only* caller — it also performs every release (the
+// Maestro's Handle Finished block) and dispatches the tasks a release
+// makes ready. One owner means no lock: the tables are plain state.
 // The `threads` workers are the Task Controllers: each runs the tasks
 // that arrive on its own channel with a spin-calibrated synthetic kernel
 // honoring the record's exec_time, and posts each finished id back on the
 // same channel. Workers never touch the dependence tables, so the table
-// cache lines stay on the master's core and no worker ever waits on a
-// shard.
+// cache lines stay on the master's core and no worker ever waits on
+// resolution.
 //
 // Channel protocol (exec/channel.hpp). Each worker has one TaskChannel: a
 // master -> worker inbox of depth 2 (the running task plus one buffered
@@ -51,7 +52,7 @@
 // interleaving).
 //
 // The report carries real wall-clock results (tasks/sec, per-worker
-// kernel utilization, shard-lock contention) next to the structural/hazard
+// kernel utilization) next to the structural/hazard
 // telemetry shared with the simulated engines; ordering evidence flows
 // through core::ExecutionObserver (on_completed fires on the worker before
 // the master releases the task's accesses, so recorded completion order is
@@ -75,11 +76,8 @@ namespace nexuspp::exec {
 
 struct ExecConfig {
   std::uint32_t threads = 4;  ///< worker pool size (1 = deterministic inline)
-  std::uint32_t banks = 1;    ///< resolver lock/table shards
-  std::uint32_t region_bytes = 256;
   core::MatchMode match_mode = core::MatchMode::kBaseAddr;
-  /// Machine totals, split evenly across shards — same meaning as the
-  /// simulated engines' capacity knobs.
+  /// Table sizes — same meaning as the simulated engines' capacity knobs.
   std::uint32_t task_pool_capacity = 16384;
   std::uint32_t dep_table_capacity = 65536;
   std::uint32_t kick_off_capacity = 8;
@@ -135,12 +133,10 @@ struct ExecReport {
   // --- Resolution telemetry (same meaning as the simulated engines') --------
   core::Resolver::Stats resolver;
   ShardedResolver::TableStats tables;
-  ShardedResolver::SyncStats sync;
   /// Most ready tasks the master held in its FIFO at once (not yet handed
   /// to a worker; inline: not yet run).
   std::size_t ready_queue_peak = 0;
   std::uint32_t threads = 0;
-  std::uint32_t banks = 0;
   /// Kernel body that ran the tasks, and total calibrated work units it
   /// executed across all workers (0 under kSpin, whose model is time).
   KernelKind kernel = KernelKind::kSpin;

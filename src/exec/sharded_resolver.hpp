@@ -1,39 +1,25 @@
 #pragma once
-// ShardedResolver: real concurrent dependency resolution built from the
-// simulator's own untimed structures.
+// ShardedResolver: the exec-threads master's dependence resolver, built
+// from the simulator's own untimed structures.
 //
-// N *shards*, each a complete monolithic resolver stack — core::TaskPool +
-// core::DependenceTable + core::Resolver — with parameters routed to
-// shards by bank::BankPartition exactly like the banked hardware model
-// routes them to banks:
-//
-//   base-address mode — a parameter belongs to the home shard of its base
-//   address; equal bases always meet in the same shard.
-//
-//   range mode — an interval registers in every shard whose home region it
-//   touches; overlapping intervals always share at least one shard.
-//
-// A global task is *projected* onto its touched shards: shard s gets a
-// shard-local task holding exactly the parameters routed to s, resolved by
-// that shard's core::Resolver verbatim (same Listing-2 semantics, same
+// One monolithic resolver stack — core::TaskPool + core::DependenceTable +
+// core::Resolver — driven verbatim: same Listing-2 semantics, same
 // dummy-entry mechanics, same `busy`-flag protocol as the simulated
-// Maestro). The global task is ready when every projection is ready; a
-// per-task atomic counts shards still holding it back. Because each shard
-// is self-contained, no operation ever spans two shards' critical
-// sections, and cross-shard atomicity is never needed: a shard's
-// grant/queue decisions depend only on its own tables.
+// Maestro. A global task (dense id in submission order) owns at most one
+// descriptor in the pool; two flat arrays map global ids to pool ids and
+// back. Param-less tasks bypass the tables: they are ready at once and
+// take no descriptor slot.
 //
-// Each shard serializes its registration and release bodies with one
-// mutex. The master thread of ThreadedExecutor is the resolver's only
-// caller, so the lock is uncontended there; it still makes the resolver
-// safe to drive from several threads, and its census (acquisitions, and
-// acquisitions that found it held) plus a kLockWait timeline span on the
-// contended path show when that happens.
+// One owner, no lock. ThreadedExecutor's master thread is the only caller,
+// as the paper's Maestro is the only reader and writer of its Task Pool
+// and Dependence Table, so the tables need no synchronization. Both entry
+// points (SubmitSession::advance and finish) annotate the resolver as a
+// plain write: the schedcheck race checker, and TSan, report any second
+// thread that touches it.
 //
-// Correctness inherits from the banked decomposition (bank/resolver.hpp):
-// conflicts are discovered in shared shards, every DC increment is matched
-// by a decrement from the same shard, and within a shard FIFO kick-off
-// order follows global submission order (submission is single-threaded).
+// The name is historical: the resolver once split its tables into
+// lock-guarded shards. The benchmark (perfbench/) still builds and drives
+// this class by name.
 //
 // Capacity behaviour mirrors the timed Maestro: a full pool/table yields a
 // resumable stall (SubmitSession keeps its cursor; a retry never
@@ -41,15 +27,11 @@
 // overflow with dummies disabled, oversized descriptors) are permanent and
 // reported as such.
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "bank/partition.hpp"
-#include "chk/chk.hpp"
 #include "core/dependence_table.hpp"
 #include "core/resolver.hpp"
 #include "core/task_pool.hpp"
@@ -58,21 +40,14 @@
 namespace nexuspp::exec {
 
 struct ShardedResolverConfig {
-  std::uint32_t shards = 1;          ///< lock/table shards ("banks" knob)
-  std::uint32_t region_bytes = 256;  ///< BankPartition home-region size
   core::MatchMode match_mode = core::MatchMode::kBaseAddr;
-  /// Descriptor slots across all shards, split evenly (like the table
-  /// budget below), so capacity knobs mean "machine total" on every
-  /// engine. Note a task projects one shard-local descriptor per touched
-  /// shard, so multi-shard tasks consume more total slots than on a
-  /// monolithic pool.
-  std::uint32_t pool_capacity = 16384;
-  std::uint32_t table_capacity = 65536;  ///< DT entries, split across shards
+  std::uint32_t pool_capacity = 16384;   ///< Task Pool descriptor slots
+  std::uint32_t table_capacity = 65536;  ///< Dependence Table entries
   std::uint32_t kick_off_capacity = 8;   ///< ids per kick-off list
   bool allow_dummies = true;  ///< dummy tasks + dummy entries
 
-  /// Throws std::invalid_argument on zero shards/capacities or a bad
-  /// region size (BankPartition::validate).
+  /// Throws std::invalid_argument on a zero capacity or an unusable table
+  /// or pool configuration.
   void validate() const;
 };
 
@@ -82,33 +57,29 @@ class ShardedResolver {
   using GlobalId = std::uint64_t;
   static constexpr GlobalId kNoGlobal = ~0ull;
 
-  /// `expected_tasks` pre-sizes the per-task state (no reallocation while
-  /// workers hold references).
+  /// `expected_tasks` sizes the global -> pool id map.
   ShardedResolver(const ShardedResolverConfig& config,
                   std::uint64_t expected_tasks);
 
   ShardedResolver(const ShardedResolver&) = delete;
   ShardedResolver& operator=(const ShardedResolver&) = delete;
-  ~ShardedResolver();
 
   enum class Progress : std::uint8_t {
     kDone,        ///< fully registered; query session.ready()
-    kStalled,     ///< a shard is out of space — retry after a finish frees some
+    kStalled,     ///< pool or table out of space — retry after a finish
     kStructural,  ///< permanent failure; see session.failure()
   };
 
-  /// Resumable multi-shard registration of one task. advance() enters each
-  /// touched shard's critical section in canonical (ascending id) order,
-  /// one at a time; on kStalled all completed work stays registered and
-  /// the cursor resumes exactly where it stopped, so no parameter is ever
-  /// processed twice. Drive it from a single thread.
+  /// Resumable registration of one task. On kStalled all completed work
+  /// stays registered and the cursor resumes exactly where it stopped, so
+  /// no parameter is ever processed twice.
   class SubmitSession {
    public:
     [[nodiscard]] Progress advance();
 
-    /// True once the task has no unresolved dependencies anywhere — set
-    /// either at kDone or never (a later finish() reports the task ready
-    /// instead). Exactly one of the two paths fires per task.
+    /// True once the task has no unresolved dependencies — set either at
+    /// kDone or never (a later finish() reports the task ready instead).
+    /// Exactly one of the two paths fires per task.
     [[nodiscard]] bool ready() const noexcept { return ready_; }
     [[nodiscard]] const std::string& failure() const noexcept {
       return failure_;
@@ -117,95 +88,65 @@ class ShardedResolver {
    private:
     friend class ShardedResolver;
     SubmitSession(ShardedResolver* owner, GlobalId gid, std::uint64_t serial,
-                  std::uint64_t fn,
-                  std::vector<std::pair<std::uint32_t,
-                                        std::vector<core::Param>>> groups)
+                  std::uint64_t fn, std::vector<core::Param> params)
         : owner_(owner), gid_(gid), serial_(serial), fn_(fn),
-          groups_(std::move(groups)) {}
+          params_(std::move(params)), ready_(params_.empty()) {}
 
     ShardedResolver* owner_;
     GlobalId gid_;
     std::uint64_t serial_;
     std::uint64_t fn_;
-    /// Parameters grouped per touched shard, canonical shard order.
-    std::vector<std::pair<std::uint32_t, std::vector<core::Param>>> groups_;
-    std::size_t group_ = 0;  ///< current group cursor
-    std::size_t param_ = 0;  ///< next parameter within the current group
+    std::vector<core::Param> params_;
+    core::TaskId local_ = core::kInvalidTask;  ///< pool id once inserted
+    std::size_t param_ = 0;  ///< next parameter to register
     std::string failure_;
-    bool ready_ = false;
+    bool ready_;
   };
 
-  /// Starts registration of task `gid` (must be called in gid order by one
-  /// thread; gid < expected_tasks). Computes the shard projection and
-  /// initializes the task's pending-shard counter. Takes the parameter
-  /// list by value: the single-shard fast path moves it straight into the
-  /// session instead of copying (this is the submit hot path).
+  /// Starts registration of task `gid` (in gid order; gid <
+  /// expected_tasks). Takes the parameter list by value and moves it into
+  /// the session: registration allocates nothing.
   [[nodiscard]] SubmitSession begin_submit(GlobalId gid, std::uint64_t serial,
                                            std::uint64_t fn,
                                            std::vector<core::Param> params);
 
-  /// Releases every access of completed task `gid` (canonical shard order,
-  /// one critical section at a time), frees its shard-local descriptors,
+  /// Releases every access of completed task `gid`, frees its descriptor,
   /// and fills `now_ready` (cleared first) with the global tasks that
-  /// became fully ready. The buffer is caller-owned so the release hot
-  /// path never allocates — callers reuse one buffer; the first call
-  /// on a buffer sizes it once to the total pool capacity, the most
-  /// grants one release can produce. Thread-safe and callable from any
-  /// thread (ThreadedExecutor calls it only from its master). Never needs
-  /// new table space.
+  /// became ready. The buffer is caller-owned so the release hot path
+  /// never allocates — callers reuse one buffer; the first call on a
+  /// buffer sizes it once to the pool capacity, the most grants one
+  /// release can produce. Never needs new table space.
   void finish(GlobalId gid, std::vector<GlobalId>& now_ready);
 
-  // --- Telemetry (sums over shards; exact only when quiescent) ----------------
+  // --- Telemetry (exact only when quiescent) ----------------------------------
 
-  /// Shard-lock census, summed over shards.
-  struct SyncStats {
-    std::uint64_t lock_acquisitions = 0;
-    std::uint64_t lock_contentions = 0;  ///< acquisitions that found it held
-  };
-  [[nodiscard]] SyncStats sync_stats() const;
-
-  [[nodiscard]] core::Resolver::Stats resolver_stats() const;
+  [[nodiscard]] core::Resolver::Stats resolver_stats() const {
+    return resolver_.stats();
+  }
 
   struct TableStats {
     std::uint64_t lookups = 0;
     std::uint64_t lookup_probes = 0;
-    std::uint32_t max_live_slots = 0;      ///< summed per-shard highwaters
-    std::uint32_t longest_hash_chain = 0;  ///< max over shards
+    std::uint32_t max_live_slots = 0;
+    std::uint32_t longest_hash_chain = 0;
     std::uint64_t ko_dummy_allocations = 0;
     std::uint64_t tp_dummy_slots = 0;
-    std::uint32_t tp_max_used = 0;  ///< summed per-shard highwaters
+    std::uint32_t tp_max_used = 0;
   };
   [[nodiscard]] TableStats table_stats() const;
 
-  [[nodiscard]] std::uint32_t shard_count() const noexcept {
-    return static_cast<std::uint32_t>(shards_.size());
-  }
  private:
-  /// One shard: its tables plus the mutex that serializes them (defined
-  /// in the .cpp).
-  class Shard;
-
-  struct TaskNode {
-    /// Shards whose projection has not yet granted this task. The task is
-    /// ready exactly when this reaches zero; whoever decrements it to zero
-    /// owns reporting it ready.
-    chk::Atomic<std::uint32_t> pending{0};
-    /// (shard, local id) per touched shard, canonical order. Written by
-    /// the submitting thread before the task can become ready.
-    std::vector<std::pair<std::uint32_t, core::TaskId>> locals;
-  };
-
-  bank::BankPartition partition_;
-  core::MatchMode match_mode_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<TaskNode> nodes_;
-  /// Descriptor slots over all shards: the most per-shard grant votes one
-  /// finish() can collect.
-  std::size_t grant_capacity_ = 0;
-  /// Shard id -> group slot scratch for begin_submit's projection (the
-  /// submit path is single-threaded; keeping this hot avoids per-task
-  /// node-based containers on fine-grain workloads).
-  std::vector<std::int32_t> scratch_group_of_shard_;
+  core::TaskPool pool_;
+  core::DependenceTable table_;
+  core::Resolver resolver_;
+  /// Global id -> pool id (kInvalidTask until registered, and for
+  /// param-less tasks, which hold no descriptor).
+  std::vector<core::TaskId> local_of_;
+  /// Pool id -> owning global id (kNoGlobal while the slot is free).
+  std::vector<GlobalId> global_of_;
+  /// Pool ids one release granted; sized for a whole pool, so the release
+  /// path never grows it.
+  std::vector<core::TaskId> ready_scratch_;
 };
 
 }  // namespace nexuspp::exec

@@ -1,15 +1,14 @@
 #pragma once
 // Unified metrics registry.
 //
-// The repo's telemetry grew up scattered: SyncStats on the sharded
-// resolver, BankUsage on the banked tables, stage busy/stall pairs on the
-// simulated systems, hazard counters on the dependence table. Each report
-// consumer (table printer, CSV writer, JSON writer, trace exporter) had to
-// know every struct. MetricsRegistry is the meeting point: producers
-// register named counters / gauges / histograms once, consumers iterate a
-// sorted snapshot. RunReport::register_metrics() adapts the existing
-// telemetry into a registry so timelines and future sinks get the full
-// picture without new plumbing.
+// The repo's telemetry grew up scattered: BankUsage on the banked tables,
+// stage busy/stall pairs on the simulated systems, hazard counters on the
+// dependence table. Each report consumer (table printer, CSV writer, JSON
+// writer, trace exporter) had to know every struct. MetricsRegistry is the
+// meeting point: producers register named counters / gauges / histograms
+// once, consumers iterate a sorted snapshot. RunReport::register_metrics()
+// adapts the existing telemetry into a registry so timelines and future
+// sinks get the full picture without new plumbing.
 //
 // This is an end-of-run aggregation surface, not a hot-path one: values are
 // registered after execution finishes, so plain (non-atomic) storage is

@@ -14,11 +14,11 @@
 // finished Timeline carries which domain produced it, and the Chrome-trace
 // exporter / critical-path analysis treat both identically.
 //
-// Deep layers (the sharded resolver) cannot be handed a recorder pointer
-// without threading it through every signature, so a thread-local binding
-// (`ThreadTrackScope`) lets `record_here()` attribute events to whichever
-// worker track the current thread registered. When no binding is active the
-// helpers are inert.
+// Layers that are not handed a recorder pointer would need it threaded
+// through every signature, so a thread-local binding (`ThreadTrackScope`)
+// lets `record_here()` attribute events to whichever worker track the
+// current thread registered. When no binding is active the helpers are
+// inert.
 
 #include <cstdint>
 #include <chrono>
@@ -36,7 +36,10 @@ enum class EventKind : std::uint8_t {
   kRun,           ///< span: kernel execution
   kFinish,        ///< instant: task completion observed
   kRelease,       ///< span: dependence release / successor grant processing
-  kLockWait,      ///< span: blocked acquiring a contended shard lock
+  /// Span: blocked on a contended lock. Nothing emits it since the
+  /// exec-threads resolver lost its lock; kept because
+  /// perfbench/src/layers.cpp still reads it (`exec.phase.lock_wait_ms`).
+  kLockWait,
   kInFlight,      ///< counter: tasks submitted but not yet finished
   kReadyDepth,    ///< counter: ready-queue depth after a push
 };
@@ -151,8 +154,8 @@ class TimelineRecorder {
 };
 
 /// Binds (recorder, track) to the current thread so layers without a
-/// recorder pointer (resolver shard ops) can attribute events. Restores the
-/// previous binding on destruction; a null recorder makes the helpers inert.
+/// recorder pointer can attribute events. Restores the previous binding on
+/// destruction; a null recorder makes the helpers inert.
 class ThreadTrackScope {
  public:
   ThreadTrackScope(TimelineRecorder* recorder, std::uint32_t track) noexcept;

@@ -16,7 +16,6 @@ namespace {
 
 // Thread-local invariant state. Plain counters — every rule here is
 // per-thread by construction, so no synchronization is needed.
-thread_local int tl_shard_locks = 0;
 thread_local int tl_park_locks = 0;
 thread_local int tl_chk_locks = 0;
 thread_local int tl_no_alloc_depth = 0;
@@ -28,8 +27,6 @@ thread_local bool tl_in_failure = false;
 
 int& counter_for(LockDomain domain) {
   switch (domain) {
-    case LockDomain::kShard:
-      return tl_shard_locks;
     case LockDomain::kPark:
       return tl_park_locks;
     case LockDomain::kChk:
@@ -49,26 +46,9 @@ void invariant_fail(const char* what, const char* where) {
 }
 
 LockRankGuard::LockRankGuard(LockDomain domain) : domain_(domain) {
-  if (domain == LockDomain::kShard) {
-    if (tl_shard_locks > 0) {
-      invariant_fail("shard lock acquired while a shard lock is held",
-                     "lock-rank");
-    }
-    if (tl_park_locks > 0) {
-      invariant_fail("shard lock acquired while a park lock is held",
-                     "lock-rank");
-    }
-    if (tl_chk_locks > 0) {
-      invariant_fail("shard lock acquired while schedcheck lock is held",
-                     "lock-rank");
-    }
-  } else if (domain == LockDomain::kPark) {
+  if (domain == LockDomain::kPark) {
     if (tl_park_locks > 0) {
       invariant_fail("park lock acquired while a park lock is held",
-                     "lock-rank");
-    }
-    if (tl_shard_locks > 0) {
-      invariant_fail("park lock acquired while a shard lock is held",
                      "lock-rank");
     }
     if (tl_chk_locks > 0) {
@@ -76,7 +56,7 @@ LockRankGuard::LockRankGuard(LockDomain domain) : domain_(domain) {
                      "lock-rank");
     }
   } else {
-    // kChk is a leaf: fine under shard / park locks, but never
+    // kChk is a leaf: fine under a park lock, but never
     // recursive (the schedcheck runtime must not hook itself).
     if (tl_chk_locks > 0) {
       invariant_fail("schedcheck lock acquired recursively", "lock-rank");

@@ -9,24 +9,19 @@
 // checks:
 //
 //   Lock rank — every mutex the execution layer takes carries a rank
-//   (LockDomain). A thread-local tracker asserts that (a) shard mutexes
-//   never nest (no thread holds two shard locks — the resolver's
-//   one-critical-section-at-a-time design depends on it: cross-shard
-//   atomicity is never needed *because* no operation spans two shards),
-//   (b) no thread holds a shard mutex and an executor park mutex at once
-//   (either order — the pair is what would make a lock-cycle possible at
-//   all), (c) park mutexes never nest (each guards one thread's sleep
-//   handshake and is held only for that handshake), and (d) the
-//   schedcheck runtime's internal lock (kChk) is a leaf: instrumentation
-//   hooks fire *inside* shard / park critical sections, so kChk may be
-//   taken while those are held, but never the reverse and never
-//   recursively.
+//   (LockDomain). A thread-local tracker asserts that (a) park mutexes
+//   never nest (each guards one thread's sleep handshake and is held only
+//   for that handshake), and (b) the schedcheck runtime's internal lock
+//   (kChk) is a leaf: instrumentation hooks fire *inside* park critical
+//   sections, so kChk may be taken while one is held, but never the
+//   reverse and never recursively.
 //
 //   No-alloc tripwire — NoAllocScope replaces the global operator new
-//   family with an aborting hook for the enclosing dynamic extent.
-//   ShardedResolver::finish wraps itself in one: the release hot path is
+//   family with an aborting hook for the enclosing dynamic extent. The
+//   resolver's registration (begin_submit, SubmitSession::advance) and
+//   release (finish) wrap themselves in one: both hot paths are
 //   documented never to allocate, and every *audited* interior allocation
-//   (first grant-buffer sizing, diagnostics on the throw paths)
+//   (first grant-buffer sizing, diagnostics on the failure paths)
 //   re-enables allocation through an AllowAllocScope naming its reason.
 //   A new allocation sneaking onto the path trips the hook and aborts
 //   with the offending scope's label.
@@ -40,12 +35,10 @@
 namespace nexuspp::util {
 
 /// Lock ranks for the execution layer. Values are informational (the
-/// checked rules are "no two held" per the matrix above), but keep shard
-/// lowest so a future ordered-rank rule can drop in without re-ranking.
+/// checked rules are the two above).
 enum class LockDomain : int {
-  kShard = 0,  ///< a ShardedResolver shard mutex
-  kPark = 1,   ///< an exec::Parker mutex (one thread's sleep handshake)
-  kChk = 2,    ///< schedcheck runtime internals (src/chk session state)
+  kPark = 0,  ///< an exec::Parker mutex (one thread's sleep handshake)
+  kChk = 1,   ///< schedcheck runtime internals (src/chk session state)
 };
 
 #if defined(NEXUSPP_CHECKED)

@@ -3,11 +3,12 @@
 // checked build aborts with the documented "nexuspp-checked:" diagnostic;
 // the positive tests prove the real resolver paths run clean under full
 // instrumentation (the audited AllowAllocScope holes line up with every
-// allocation the release path actually performs). In a normal build the
+// allocation registration and release actually perform). In a normal build the
 // hooks compile to nothing, and this file only verifies they stay inert.
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/dependence_table.hpp"
@@ -29,11 +30,12 @@ using util::NoAllocScope;
 
 /// Submits `tasks` single-chain tasks (all inout on one address, so task
 /// i depends on task i-1), then finishes them in dependency order. This
-/// walks the full grant machinery — shard critical sections and pending-
-/// counter votes — under whatever instrumentation the build enables.
-void drive_chain(std::uint64_t tasks) {
+/// walks registration and the full grant machinery — both under the
+/// resolver's own NoAllocScopes — under whatever instrumentation the
+/// build enables.
+void drive_chain(std::uint64_t tasks, core::MatchMode mode) {
   ShardedResolverConfig cfg;
-  cfg.shards = 4;
+  cfg.match_mode = mode;
   cfg.pool_capacity = 256;
   cfg.table_capacity = 1024;
   ShardedResolver resolver(cfg, tasks);
@@ -57,7 +59,28 @@ void drive_chain(std::uint64_t tasks) {
   EXPECT_EQ(finished, tasks);
 }
 
-TEST(CheckedInvariants, ResolverChainRunsClean) { drive_chain(64); }
+TEST(CheckedInvariants, ResolverChainRunsCleanBaseAddr) {
+  drive_chain(64, core::MatchMode::kBaseAddr);
+}
+
+TEST(CheckedInvariants, ResolverChainRunsCleanRange) {
+  drive_chain(64, core::MatchMode::kRange);
+}
+
+TEST(CheckedInvariants, StructuralDiagnosticIsAnAuditedHole) {
+  // With dummy tasks disabled a 9-parameter task never fits a descriptor:
+  // advance() builds its failure text inside the registration NoAllocScope,
+  // through the one audited hole.
+  ShardedResolverConfig cfg;
+  cfg.allow_dummies = false;
+  ShardedResolver resolver(cfg, 1);
+  std::vector<core::Param> params;
+  for (core::Addr a = 0; a < 9; ++a) params.push_back(core::in(0x100 * a));
+  auto session = resolver.begin_submit(0, 0, 0, std::move(params));
+  ASSERT_EQ(session.advance(), ShardedResolver::Progress::kStructural);
+  EXPECT_NE(session.failure().find("descriptor slots"), std::string::npos)
+      << session.failure();
+}
 
 /// Drives a core::Resolver directly: a writer, a crowd of readers behind
 /// it, a second writer, more readers, repeated. Two-id kick-off lists make
@@ -119,33 +142,6 @@ TEST(CheckedInvariants, CoreReleasePathAllocatesNothingRange) {
 
 #if defined(NEXUSPP_CHECKED)
 
-TEST(CheckedInvariantsDeath, TwoShardLocksAbort) {
-  EXPECT_DEATH(
-      {
-        const LockRankGuard first(LockDomain::kShard);
-        const LockRankGuard second(LockDomain::kShard);
-      },
-      "nexuspp-checked: shard lock acquired while a shard lock is held");
-}
-
-TEST(CheckedInvariantsDeath, ParkUnderShardLockAborts) {
-  EXPECT_DEATH(
-      {
-        const LockRankGuard shard(LockDomain::kShard);
-        const LockRankGuard park(LockDomain::kPark);
-      },
-      "nexuspp-checked: park lock acquired while a shard lock is held");
-}
-
-TEST(CheckedInvariantsDeath, ShardUnderParkLockAborts) {
-  EXPECT_DEATH(
-      {
-        const LockRankGuard park(LockDomain::kPark);
-        const LockRankGuard shard(LockDomain::kShard);
-      },
-      "nexuspp-checked: shard lock acquired while a park lock is held");
-}
-
 TEST(CheckedInvariantsDeath, NestedParkLocksAbort) {
   EXPECT_DEATH(
       {
@@ -168,9 +164,9 @@ TEST(CheckedInvariantsDeath, HotPathAllocationAborts) {
 
 TEST(CheckedInvariants, SequentialLocksAndAllowedAllocsPass) {
   {
-    const LockRankGuard first(LockDomain::kShard);
+    const LockRankGuard first(LockDomain::kPark);
   }
-  const LockRankGuard second(LockDomain::kShard);  // prior scope closed
+  const LockRankGuard second(LockDomain::kPark);  // prior scope closed
 
   const NoAllocScope no_alloc("audited-region");
   const AllowAllocScope allow("audited interior site");
@@ -182,8 +178,8 @@ TEST(CheckedInvariants, SequentialLocksAndAllowedAllocsPass) {
 
 TEST(CheckedInvariants, HooksAreInertInNormalBuilds) {
   // The no-op versions must accept the same shapes and do nothing.
-  const LockRankGuard a(LockDomain::kShard);
-  const LockRankGuard b(LockDomain::kShard);  // no tracking: no abort
+  const LockRankGuard a(LockDomain::kPark);
+  const LockRankGuard b(LockDomain::kPark);  // no tracking: no abort
   const NoAllocScope no_alloc("ignored");
   auto* ok = new int(1);  // no operator-new hook in normal builds
   delete ok;

@@ -1,6 +1,7 @@
 // The real concurrent executor (`exec-threads`): GraphOracle-validated
-// execution order across thread counts, bank (lock-shard) counts, both
-// match modes and several seeds; single-thread determinism; behaviour
+// execution order across thread counts, both match modes and several
+// seeds; the frozen single-thread completion order; param-less tasks that
+// bypass a full task pool; behaviour
 // under core oversubscription; master-side release while stalled on small
 // tables; park/wake churn; 8 and 16 workers on any host; task-channel
 // rings wrapped by a long stream; wake-ups while a worker is in a long
@@ -111,7 +112,6 @@ std::vector<trace::TaskRecord> small_dag(std::uint64_t seed,
 
 struct GridCase {
   std::uint32_t threads;
-  std::uint32_t banks;
   MatchMode mode;
   std::uint64_t seed;
 };
@@ -122,13 +122,10 @@ TEST_P(ExecOrderGrid, CompletionOrderRespectsDependencies) {
   const auto& param = GetParam();
   exec::ExecConfig cfg;
   cfg.threads = param.threads;
-  cfg.banks = param.banks;
   cfg.match_mode = param.mode;
   cfg.duration_scale = 0.05;  // keep kernels short; order is what matters
   const auto report = run_validated(small_dag(param.seed), cfg);
   EXPECT_EQ(report.threads, param.threads);
-  EXPECT_EQ(report.banks, param.banks);
-  EXPECT_GT(report.sync.lock_acquisitions, 0u);
   EXPECT_GT(report.wall_ns, 0.0);
   EXPECT_GT(report.tasks_per_sec, 0.0);
   EXPECT_EQ(report.turnaround_ns.count(), report.tasks_completed);
@@ -137,12 +134,9 @@ TEST_P(ExecOrderGrid, CompletionOrderRespectsDependencies) {
 std::vector<GridCase> grid_cases() {
   std::vector<GridCase> cases;
   for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
-    for (const std::uint32_t banks : {1u, 4u}) {
-      for (const MatchMode mode :
-           {MatchMode::kBaseAddr, MatchMode::kRange}) {
-        for (const std::uint64_t seed : {1ull, 3ull, 7ull, 11ull}) {
-          cases.push_back({threads, banks, mode, seed});
-        }
+    for (const MatchMode mode : {MatchMode::kBaseAddr, MatchMode::kRange}) {
+      for (const std::uint64_t seed : {1ull, 3ull, 7ull, 11ull}) {
+        cases.push_back({threads, mode, seed});
       }
     }
   }
@@ -150,14 +144,12 @@ std::vector<GridCase> grid_cases() {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ThreadsBanksModesSeeds, ExecOrderGrid, ::testing::ValuesIn(grid_cases()),
+    ThreadsModesSeeds, ExecOrderGrid, ::testing::ValuesIn(grid_cases()),
     [](const auto& info) {
       // Built with += — GCC 12's -Wrestrict misfires on chained
       // `"lit" + std::to_string(x) + "lit"` (gcc PR 105651).
       std::string name = "t";
       name += std::to_string(info.param.threads);
-      name += "_b";
-      name += std::to_string(info.param.banks);
       name += info.param.mode == MatchMode::kRange ? "_range" : "_base";
       name += "_s";
       name += std::to_string(info.param.seed);
@@ -165,22 +157,17 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /// Range mode with partially overlapping halo reads — the workload whose
-/// hazards only interval matching sees, including spans that cross shard
-/// home-region boundaries (multi-shard registration).
-TEST(ExecThreads, HaloStencilRangeModeAcrossShards) {
+/// hazards only interval matching sees.
+TEST(ExecThreads, HaloStencilRangeModeStaysOracleValid) {
   workloads::HaloStencilConfig halo;
   halo.blocks = 24;
   halo.steps = 4;
   const auto tasks = *workloads::make_halo_stencil_trace(halo);
-  for (const std::uint32_t banks : {1u, 4u}) {
-    exec::ExecConfig cfg;
-    cfg.threads = 4;
-    cfg.banks = banks;
-    cfg.region_bytes = 256;  // well below a tile: spans cross regions
-    cfg.match_mode = MatchMode::kRange;
-    cfg.duration_scale = 0.05;
-    (void)run_validated(tasks, cfg);
-  }
+  exec::ExecConfig cfg;
+  cfg.threads = 4;
+  cfg.match_mode = MatchMode::kRange;
+  cfg.duration_scale = 0.05;
+  (void)run_validated(tasks, cfg);
 }
 
 // --- Determinism anchor -------------------------------------------------------
@@ -263,7 +250,6 @@ TEST(ExecThreads, OversubscribedWorkersStayOracleValid) {
   const auto cores = std::max(1u, std::thread::hardware_concurrency());
   exec::ExecConfig cfg;
   cfg.threads = std::max(16u, 2 * cores);
-  cfg.banks = 4;
   cfg.duration_scale = 0.02;
   const auto report = run_validated(small_dag(4242, 400), cfg);
   EXPECT_EQ(report.worker_busy_ns.size(), cfg.threads);
@@ -282,14 +268,11 @@ TEST(ExecThreads, CompletesWorkloadLibraryDags) {
     const auto tasks = *library.make_trace(spec);
     for (const MatchMode mode : {MatchMode::kBaseAddr, MatchMode::kRange}) {
       for (const std::uint32_t threads : {1u, 4u}) {
-        for (const std::uint32_t banks : {1u, 4u}) {
-          exec::ExecConfig cfg;
-          cfg.threads = threads;
-          cfg.banks = banks;
-          cfg.match_mode = mode;
-          cfg.duration_scale = 0.01;  // FLOP-derived durations are long
-          (void)run_validated(tasks, cfg);
-        }
+        exec::ExecConfig cfg;
+        cfg.threads = threads;
+        cfg.match_mode = mode;
+        cfg.duration_scale = 0.01;  // FLOP-derived durations are long
+        (void)run_validated(tasks, cfg);
       }
     }
   }
@@ -312,7 +295,6 @@ TEST(ExecThreads, CompletesPatternWorkloads) {
       for (const std::uint32_t threads : {1u, 4u}) {
         exec::ExecConfig cfg;
         cfg.threads = threads;
-        cfg.banks = 2;
         cfg.match_mode = mode;
         (void)run_validated(tasks, cfg);
       }
@@ -341,7 +323,6 @@ TEST(ExecThreads, RunsCapturedTracesFromTheReplayPipeline) {
 
   exec::ExecConfig cfg;
   cfg.threads = 4;
-  cfg.banks = 2;
   cfg.duration_scale = 0.01;
   (void)run_validated(reloaded.tasks, cfg);
 }
@@ -349,7 +330,7 @@ TEST(ExecThreads, RunsCapturedTracesFromTheReplayPipeline) {
 // --- Deadlock diagnosis (terminates, never hangs) -----------------------------
 
 TEST(ExecThreads, CapacityDeadlockIsDiagnosed) {
-  // A single task needing more table entries than a shard can ever hold:
+  // A single task needing more table entries than the table can ever hold:
   // the executor must report a capacity deadlock, not wait forever.
   std::vector<trace::TaskRecord> tasks(1);
   tasks[0].serial = 0;
@@ -359,7 +340,6 @@ TEST(ExecThreads, CapacityDeadlockIsDiagnosed) {
     SCOPED_TRACE(threads);
     exec::ExecConfig cfg;
     cfg.threads = threads;
-    cfg.banks = 1;
     cfg.dep_table_capacity = 2;
     exec::ThreadedExecutor executor(cfg);
     const auto report = executor.run(std::make_unique<trace::VectorStream>(
@@ -369,6 +349,27 @@ TEST(ExecThreads, CapacityDeadlockIsDiagnosed) {
         << report.diagnosis;
     EXPECT_EQ(report.tasks_completed, 0u);
   }
+}
+
+TEST(ExecThreads, ParamlessTasksBypassAFullTaskPool) {
+  // A one-slot task pool, held by the first task for the whole
+  // registration phase, then 200 param-less tasks: they take no
+  // descriptor, so none of them may stall behind the held slot.
+  std::vector<trace::TaskRecord> tasks(201);
+  for (std::size_t i = 0; i < tasks.size(); ++i) tasks[i].serial = i;
+  tasks[0].params = {core::inout(0x1000)};
+
+  // Inline, the master registers every task before it runs any: one slot
+  // is enough exactly when no param-less task needs it.
+  exec::ExecConfig cfg;
+  cfg.threads = 1;
+  cfg.task_pool_capacity = 1;
+  const auto inline_report = run_validated(tasks, cfg);
+  EXPECT_EQ(inline_report.submit_stall_ns, 0.0);
+  EXPECT_EQ(inline_report.ready_queue_peak, tasks.size());
+
+  cfg.threads = 2;
+  (void)run_validated(tasks, cfg);
 }
 
 TEST(ExecThreads, PooledMasterReleasesWhileStalled) {
@@ -384,7 +385,6 @@ TEST(ExecThreads, PooledMasterReleasesWhileStalled) {
     SCOPED_TRACE(threads);
     exec::ExecConfig cfg;
     cfg.threads = threads;
-    cfg.banks = 1;
     cfg.task_pool_capacity = 32;
     cfg.dep_table_capacity = 12;
     const auto report = run_validated(tasks, cfg);
@@ -564,7 +564,6 @@ TEST(ExecThreads, RegisteredEngineFillsTheRealExecutionReport) {
   engine::EngineParams params;
   params.num_workers = 2;
   params.threads = 4;  // explicit threads knob wins over num_workers
-  params.banks = 2;
   const auto eng = registry.make("exec-threads", params);
   EXPECT_EQ(eng->name(), "exec-threads");
   EXPECT_FALSE(eng->deterministic_report());
@@ -576,13 +575,16 @@ TEST(ExecThreads, RegisteredEngineFillsTheRealExecutionReport) {
   ASSERT_FALSE(report.deadlocked) << report.diagnosis;
   EXPECT_EQ(report.engine, "exec-threads");
   EXPECT_EQ(report.num_workers, 4u);
-  EXPECT_EQ(report.banks, 2u);
+  EXPECT_EQ(report.banks, 0u);  // one resolver: no banks, like software-rts
   EXPECT_EQ(report.tasks_completed, tasks.size());
   EXPECT_GT(report.makespan, 0);
   EXPECT_GT(report.exec_tasks_per_sec, 0.0);
-  EXPECT_GT(report.exec_lock_acquisitions, 0u);
   EXPECT_EQ(report.exec_worker_utilization.size(), 4u);
+  // The resolver's table and hazard telemetry reaches the report.
   EXPECT_GT(report.dt_lookups, 0u);
+  EXPECT_GT(report.tp_max_used, 0u);
+  EXPECT_GT(report.raw_hazards + report.war_hazards + report.waw_hazards,
+            0u);
   EXPECT_EQ(report.turnaround_ns.count(), tasks.size());
   // The real-execution columns ride the shared CSV schema.
   const auto header = engine::RunReport::csv_header();
@@ -592,6 +594,8 @@ TEST(ExecThreads, RegisteredEngineFillsTheRealExecutionReport) {
                              "exec_tasks_per_sec");
   ASSERT_NE(col, header.end());
   EXPECT_NE(row[static_cast<std::size_t>(col - header.begin())], "0.000");
+  EXPECT_EQ(std::find(header.begin(), header.end(), "exec_lock_acquisitions"),
+            header.end());
 
   // The threads knob shows up in sweep labels.
   EXPECT_NE(params.label().find("threads=4"), std::string::npos);

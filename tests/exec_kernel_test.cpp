@@ -246,7 +246,6 @@ TEST(ExecKernels, OracleValidatedExecutionPerKind) {
     core::CompletionRecorder recorder;
     exec::ExecConfig cfg;
     cfg.threads = 4;
-    cfg.banks = 2;
     cfg.kernel.kind = kind;
     cfg.kernel.buffer_bytes = 1u << 16;  // keep per-worker state cheap
     cfg.duration_scale = 0.02;

@@ -31,21 +31,21 @@ TEST(Runtime, RawOrdering) {
   Runtime rt(4);
   int a = 0;
   int b = 0;
+  // The producer holds until the consumer is submitted: a RAW edge only
+  // exists against an unfinished writer, so without the gate the hazard
+  // count would depend on how fast the producer runs.
+  std::atomic<bool> consumer_submitted{false};
   rt.submit(
-      [&a] {
-        // Dwell so the consumer is submitted while the producer still
-        // runs (otherwise no RAW edge is needed and none is counted).
-        const auto start = std::chrono::steady_clock::now();
-        while (std::chrono::steady_clock::now() - start <
-               std::chrono::milliseconds(5)) {
-        }
+      [&a, &consumer_submitted] {
+        while (!consumer_submitted.load()) std::this_thread::yield();
         a = 7;
       },
       {starss::out(&a)});
   rt.submit([&a, &b] { b = a * 2; }, {starss::in(&a), starss::out(&b)});
+  consumer_submitted.store(true);
   rt.wait_all();
   EXPECT_EQ(b, 14);
-  EXPECT_GE(rt.stats().raw_hazards, 1u);
+  EXPECT_EQ(rt.stats().raw_hazards, 1u);
 }
 
 TEST(Runtime, ChainOfHundredTasks) {
@@ -92,16 +92,15 @@ TEST(Runtime, WarWriterWaitsForReaders) {
   int data = 10;
   std::atomic<int> reads_done{0};
   std::vector<int> observed(3, -1);
+  // Every reader holds until the writer is submitted: the WAR edge only
+  // exists against unfinished readers, so without the gate the hazard
+  // count would depend on how fast the readers run.
+  std::atomic<bool> writer_submitted{false};
   for (int i = 0; i < 3; ++i) {
     rt.submit(
-        [&data, &observed, &reads_done, i] {
+        [&data, &observed, &reads_done, &writer_submitted, i] {
           observed[static_cast<std::size_t>(i)] = data;
-          // Dwell so the writer is submitted while readers still run (the
-          // WAR edge only exists against unfinished readers).
-          const auto start = std::chrono::steady_clock::now();
-          while (std::chrono::steady_clock::now() - start <
-                 std::chrono::milliseconds(5)) {
-          }
+          while (!writer_submitted.load()) std::this_thread::yield();
           reads_done.fetch_add(1);
         },
         {starss::in(&data)});
@@ -113,13 +112,13 @@ TEST(Runtime, WarWriterWaitsForReaders) {
         data = 99;
       },
       {starss::inout(&data)});
+  writer_submitted.store(true);
   rt.wait_all();
   EXPECT_EQ(readers_before_write, 3);  // all readers finished first
   for (int v : observed) EXPECT_EQ(v, 10);
   EXPECT_EQ(data, 99);
-  // At least one reader must still have been running at writer-submit time
-  // (how many depends on OS scheduling of the busy-wait readers).
-  EXPECT_GE(rt.stats().war_hazards, 1u);
+  // All three readers were unfinished at writer-submit time.
+  EXPECT_EQ(rt.stats().war_hazards, 3u);
 }
 
 TEST(Runtime, WawKeepsWriteOrder) {

@@ -1,6 +1,6 @@
 // Layer-5 correctness tooling tests (docs/CORRECTNESS.md): the schedule
-// explorer, the happens-before race checker, and the compiled-in mutant
-// that proves the pair would have caught the PR 6 publication race.
+// explorer, the happens-before race checker, and a compiled-in mutant
+// that proves the pair would catch a broken task-channel publication.
 //
 // Built without NEXUSPP_SCHEDCHECK the suite pins the zero-cost contract
 // (the chk:: wrappers ARE the std primitives) and skips everything else.
@@ -10,13 +10,16 @@
 //     — the checker is pure logic over those ids.
 //   * ScheduleController tests pin determinism (same seed -> same trace),
 //     seed sensitivity, and the deadlock / step-limit diagnoses.
-//   * Workload sweeps run ShardedResolver submit/finish chains and the
-//     executor's task-channel protocol (master + 2 workers, forced parks)
-//     over seed sets and demand completion with zero race reports.
-//   * The mutant tests flip chk::Faults::publish_local_id_late and
-//     chk::Faults::send_before_write, prove a bounded schedule budget
-//     finds each reintroduced race, and replay the found seed to the
-//     bit-identical trace and report signature.
+//   * A workload sweep runs the executor's task-channel protocol
+//     (master + 2 workers, forced parks) over seed sets and demands
+//     completion with zero race reports.
+//   * The mutant test flips chk::Faults::send_before_write, proves a
+//     bounded schedule budget finds the reintroduced race, and replays the
+//     found seed to the bit-identical trace and report signature; the same
+//     seeds are clean on the real code.
+//   * The single-owner test lets a second thread call
+//     ShardedResolver::finish while the master still submits, with no
+//     lock: the checker must report it on every seed.
 
 #include <gtest/gtest.h>
 
@@ -40,7 +43,7 @@ static_assert(std::is_same_v<chk::Atomic<std::uint64_t>,
 static_assert(std::is_same_v<chk::Mutex, std::mutex>);
 static_assert(std::is_same_v<chk::CondVar, std::condition_variable>);
 // The fault toggle folds to constant false (dead mutant branches).
-static_assert(!chk::Faults::publish_local_id_late());
+static_assert(!chk::Faults::send_before_write());
 static_assert(chk::schedule_thread_id() == chk::kNoScheduleThread);
 
 TEST(SchedCheck, RequiresSchedcheckBuild) {
@@ -343,35 +346,6 @@ TEST(ScheduleController, SeedBannerIsReplayable) {
 
 // --- Workload sweeps: real exec structures, zero reports ---------------------
 
-/// chk-instrumented two-party mailbox: the harness-side ready queue for
-/// resolver workloads (vector contents modeled as one plain location,
-/// serialized by the instrumented mutex).
-struct Mailbox {
-  chk::Mutex mu;
-  std::vector<std::uint64_t> q;
-
-  void push(std::uint64_t gid) {
-    std::lock_guard<chk::Mutex> lock(mu);
-    chk::plain_write(&q);
-    q.push_back(gid);
-  }
-  bool try_pop(std::uint64_t& gid) {
-    std::lock_guard<chk::Mutex> lock(mu);
-    chk::plain_write(&q);
-    if (q.empty()) return false;
-    gid = q.back();
-    q.pop_back();
-    return true;
-  }
-  std::uint64_t pop_blocking() {
-    std::uint64_t gid = 0;
-    while (!try_pop(gid)) {
-      if (!chk::spin_yield()) std::this_thread::yield();
-    }
-    return gid;
-  }
-};
-
 /// Standard seed set for the sweeps: random walks plus PCT schedules.
 [[nodiscard]] std::vector<SchedulePolicy> sweep_policies(
     std::uint64_t random_walks, std::uint64_t pct_schedules) {
@@ -390,67 +364,6 @@ struct Mailbox {
     out.push_back(policy);
   }
   return out;
-}
-
-/// Master/worker resolver chain: master registers `tasks` conflicting
-/// tasks (all inout on one address) and mails every submission-granted
-/// task; the worker drains the mailbox, finishes tasks, and mails each
-/// finish-granted dependant. Exercises submit-vs-finish interleavings on
-/// one shard's lock.
-struct ResolverChainWorkload {
-  explicit ResolverChainWorkload(std::uint64_t tasks) : total(tasks) {
-    exec::ShardedResolverConfig cfg;
-    cfg.shards = 1;
-    cfg.pool_capacity = 64;
-    cfg.table_capacity = 256;
-    resolver = std::make_unique<exec::ShardedResolver>(cfg, tasks);
-  }
-
-  [[nodiscard]] std::vector<std::function<void()>> threads() {
-    const auto master = [this] {
-      for (std::uint64_t gid = 0; gid < total; ++gid) {
-        auto session = resolver->begin_submit(
-            gid, gid, 0, std::vector<core::Param>{core::inout(0x40)});
-        if (session.advance() != exec::ShardedResolver::Progress::kDone) {
-          throw std::runtime_error("unexpected submit stall: " +
-                                   session.failure());
-        }
-        if (session.ready()) mailbox.push(gid);
-      }
-    };
-    const auto worker = [this] {
-      std::vector<std::uint64_t> granted;
-      for (std::uint64_t finished = 0; finished < total; ++finished) {
-        const std::uint64_t gid = mailbox.pop_blocking();
-        resolver->finish(gid, granted);
-        for (const auto next : granted) mailbox.push(next);
-      }
-    };
-    return {master, worker};
-  }
-
-  std::uint64_t total;
-  std::unique_ptr<exec::ShardedResolver> resolver;
-  Mailbox mailbox;
-};
-
-TEST(SchedExploration, ResolverChainIsRaceFree) {
-  for (const auto& policy : sweep_policies(40, 15)) {
-    ResolverChainWorkload workload(3);
-    RaceChecker checker;
-    {
-      ScheduleController controller(policy);
-      chk::SessionScope scope(&controller, &checker);
-      const auto outcome = controller.run(workload.threads());
-      ASSERT_TRUE(outcome.completed())
-          << controller.seed_banner() << ": " << outcome.diagnosis;
-      EXPECT_TRUE(checker.reports().empty())
-          << "seed " << policy.seed << ": "
-          << checker.reports()[0].to_string();
-    }
-    // The resolver tears down after the session: main never synchronized
-    // with the schedule's threads.
-  }
 }
 
 /// The executor's Task Controller channel protocol: a master and 2
@@ -531,12 +444,7 @@ TEST(SchedExploration, TaskChannelIsRaceFree) {
   }
 }
 
-// --- The mutant: PR 6 publication race, rediscovered and replayed ------------
-
-struct MutantScope {
-  MutantScope() { chk::Faults::set_publish_local_id_late(true); }
-  ~MutantScope() { chk::Faults::set_publish_local_id_late(false); }
-};
+// --- Mutant detection and replay ---------------------------------------------
 
 /// Signature of a detection, stable across processes for one seed: the
 /// schedule trace plus every (kind, prior line, current line) report.
@@ -600,25 +508,6 @@ void expect_found_and_replayed(
   EXPECT_EQ(found.outcome, replay.outcome);
 }
 
-TEST(SchedExploration, MutantPublicationRaceIsFoundAndReplays) {
-  const MutantScope mutant;
-  expect_found_and_replayed([](const SchedulePolicy& policy) {
-    return run_schedule<ResolverChainWorkload>(policy, 2);
-  });
-}
-
-TEST(SchedExploration, MutantDisabledSameSeedsAreClean) {
-  // The schedules that exposed the mutant must be clean on real code —
-  // the detector reacts to the fault, not to the workload.
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    SchedulePolicy policy;
-    policy.seed = seed;
-    const auto result = run_schedule<ResolverChainWorkload>(policy, 2);
-    EXPECT_TRUE(result.reports.empty()) << "seed " << seed;
-    EXPECT_EQ(result.outcome, ScheduleOutcome::Kind::kCompleted);
-  }
-}
-
 // --- The mutant: a task-channel send that publishes before it writes --------
 
 struct SendEarlyScope {
@@ -631,6 +520,103 @@ TEST(SchedExploration, MutantChannelSendRaceIsFoundAndReplays) {
   expect_found_and_replayed([](const SchedulePolicy& policy) {
     return run_schedule<ChannelWorkload>(policy, 5);
   });
+}
+
+TEST(SchedExploration, MutantDisabledSameSeedsAreClean) {
+  // The schedules that expose the mutant must be clean on real code —
+  // the detector reacts to the fault, not to the workload.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SchedulePolicy policy;
+    policy.seed = seed;
+    const auto result = run_schedule<ChannelWorkload>(policy, 5);
+    EXPECT_TRUE(result.reports.empty()) << "seed " << seed;
+    EXPECT_EQ(result.outcome, ScheduleOutcome::Kind::kCompleted);
+  }
+}
+
+// --- Single ownership of the resolver ----------------------------------------
+
+/// The resolver has one owner and no lock; its entry points annotate it as
+/// a plain write. Here a master registers a chain of tasks (all inout on
+/// one address) and hands the head to a second thread through an atomic
+/// flag; that thread finishes the head. With `handoff_last` the flag is
+/// raised after the whole chain is registered, so every registration
+/// happens-before the finish. Otherwise the master keeps registering after
+/// the handoff, unordered with the finish: the misuse the annotations
+/// must expose.
+struct SecondCallerWorkload {
+  SecondCallerWorkload(std::uint64_t tasks, bool handoff_last)
+      : total(tasks), handoff_last(handoff_last) {
+    exec::ShardedResolverConfig cfg;
+    cfg.pool_capacity = 64;
+    cfg.table_capacity = 256;
+    resolver = std::make_unique<exec::ShardedResolver>(cfg, tasks);
+  }
+
+  [[nodiscard]] std::vector<std::function<void()>> threads() {
+    const auto master = [this] {
+      for (std::uint64_t gid = 0; gid < total; ++gid) {
+        auto session = resolver->begin_submit(
+            gid, gid, 0, std::vector<core::Param>{core::inout(0x40)});
+        if (session.advance() != exec::ShardedResolver::Progress::kDone) {
+          throw std::runtime_error("unexpected submit stall: " +
+                                   session.failure());
+        }
+        if (gid == (handoff_last ? total - 1 : 0)) {
+          head_registered.store(true, std::memory_order_release);
+        }
+      }
+    };
+    const auto finisher = [this] {
+      while (!head_registered.load(std::memory_order_acquire)) {
+        if (!chk::spin_yield()) std::this_thread::yield();
+      }
+      std::vector<std::uint64_t> granted;
+      resolver->finish(0, granted);
+    };
+    return {master, finisher};
+  }
+
+  std::uint64_t total;
+  bool handoff_last;
+  std::unique_ptr<exec::ShardedResolver> resolver;
+  chk::Atomic<bool> head_registered{false};
+};
+
+/// Race reports of one schedule of SecondCallerWorkload(3, handoff_last).
+std::vector<RaceReport> second_caller_reports(const SchedulePolicy& policy,
+                                              bool handoff_last) {
+  SecondCallerWorkload workload(3, handoff_last);
+  RaceChecker checker;
+  {
+    ScheduleController controller(policy);
+    chk::SessionScope scope(&controller, &checker);
+    const auto outcome = controller.run(workload.threads());
+    EXPECT_TRUE(outcome.completed())
+        << controller.seed_banner() << ": " << outcome.diagnosis;
+  }
+  // The resolver tears down after the session: main never synchronized
+  // with the schedule's threads.
+  return checker.reports();
+}
+
+TEST(SchedExploration, UnlockedSecondResolverCallerIsReported) {
+  for (const auto& policy : sweep_policies(20, 10)) {
+    const auto reports = second_caller_reports(policy, false);
+    ASSERT_FALSE(reports.empty()) << "seed " << policy.seed;
+    const std::string text = reports[0].to_string();
+    EXPECT_NE(text.find("sharded_resolver.cpp"), std::string::npos) << text;
+  }
+}
+
+TEST(SchedExploration, OrderedHandoffToASecondCallerIsClean) {
+  // The same threads, with every registration before the handoff: the
+  // report above comes from the missing order, not from the workload.
+  for (const auto& policy : sweep_policies(20, 10)) {
+    const auto reports = second_caller_reports(policy, true);
+    EXPECT_TRUE(reports.empty())
+        << "seed " << policy.seed << ": " << reports[0].to_string();
+  }
 }
 
 }  // namespace

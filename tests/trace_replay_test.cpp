@@ -278,27 +278,18 @@ task 9 50177 682.66700000000003 2048 2048 1
 param a0004000 2048 inout
 )";
 
-TEST(TraceReplay, LockfreeEraTraceStillLoadsAndReplaysOnExecThreads) {
-  std::istringstream in(kLockfreeEraTrace);
-  const auto trace = trace::read_text_trace(in);
-  ASSERT_EQ(trace.tasks.size(), 10u);
-  // Unknown meta keys are preserved, not rejected.
-  EXPECT_EQ(trace.meta.get("sync"), std::optional<std::string>("lockfree"));
-  EXPECT_EQ(trace.meta.get(trace::TraceMeta::kThreads),
-            std::optional<std::string>("2"));
-
-  // The engine path: replay with the capture's worker pool.
-  engine::EngineParams params;
-  params.threads = 2;
+/// Replays `trace` on exec-threads through the engine path with `params`,
+/// then runs it once more under a completion recorder and checks that the
+/// order of the real run respects every dependence.
+void expect_replays_oracle_valid(const trace::Trace& trace,
+                                 const engine::EngineParams& params) {
   const auto report = engine::replay(
       trace, engine::EngineRegistry::builtins(), "exec-threads", params);
   EXPECT_FALSE(report.deadlocked) << report.diagnosis;
   EXPECT_EQ(report.tasks_completed, trace.tasks.size());
 
-  // The completion order of a real run respects every dependence.
   core::CompletionRecorder recorder;
-  exec::ExecConfig cfg;
-  cfg.threads = 2;
+  exec::ExecConfig cfg = engine::ThreadedExecEngine::apply({}, params);
   cfg.observer = &recorder;
   exec::ThreadedExecutor executor(cfg);
   const auto exec_report =
@@ -318,6 +309,21 @@ TEST(TraceReplay, LockfreeEraTraceStillLoadsAndReplaysOnExecThreads) {
   const auto violation = core::GraphOracle::validate_completion_order(
       cfg.match_mode, task_params, order);
   EXPECT_TRUE(violation.empty()) << violation;
+}
+
+TEST(TraceReplay, LockfreeEraTraceStillLoadsAndReplaysOnExecThreads) {
+  std::istringstream in(kLockfreeEraTrace);
+  const auto trace = trace::read_text_trace(in);
+  ASSERT_EQ(trace.tasks.size(), 10u);
+  // Unknown meta keys are preserved, not rejected.
+  EXPECT_EQ(trace.meta.get("sync"), std::optional<std::string>("lockfree"));
+  EXPECT_EQ(trace.meta.get(trace::TraceMeta::kThreads),
+            std::optional<std::string>("2"));
+
+  // Replay with the capture's worker pool.
+  engine::EngineParams params;
+  params.threads = 2;
+  expect_replays_oracle_valid(trace, params);
 
   // Captures no longer write the key.
   const auto& library = workloads::WorkloadLibrary::builtins();
@@ -326,6 +332,68 @@ TEST(TraceReplay, LockfreeEraTraceStillLoadsAndReplaysOnExecThreads) {
   const auto recaptured = engine::run_captured(
       *eng, library.make_stream(kWorkload), &params, kWorkload);
   EXPECT_FALSE(recaptured.trace.meta.get("sync").has_value());
+}
+
+/// An exec-threads capture written while `banks` still set the executor's
+/// resolver shard count
+/// (`trace_tool capture tiled-cholesky:tiles=3,tile-elems=16 banks4.nxt
+/// --engine=exec-threads --threads=2 --banks=4 --match-mode=range`). In
+/// range mode every 2 KiB span crossed the 256-byte shard regions, so each
+/// task registered in several shards. exec-threads now has one resolver
+/// and ignores `banks`, as software-rts does.
+constexpr const char* kShardEraTrace = R"(nexus-trace v2
+# tasks: 10
+meta workload tiled-cholesky:tiles=3,tile-elems=16
+meta engine exec-threads
+meta params w=16 banks=4 match=range threads=2
+meta workers 16
+meta match-mode range
+meta banks 4
+meta threads 2
+meta captured-by trace_tool capture
+task 0 50177 682.66700000000003 2048 2048 1
+param a0000000 2048 inout
+task 1 50178 2048 4096 2048 2
+param a0000000 2048 in
+param a0001800 2048 inout
+task 2 50178 2048 4096 2048 2
+param a0000000 2048 in
+param a0003000 2048 inout
+task 3 50179 2048 4096 2048 2
+param a0001800 2048 in
+param a0002000 2048 inout
+task 4 50180 4096 6144 2048 3
+param a0003000 2048 in
+param a0001800 2048 in
+param a0003800 2048 inout
+task 5 50179 2048 4096 2048 2
+param a0003000 2048 in
+param a0004000 2048 inout
+task 6 50177 682.66700000000003 2048 2048 1
+param a0002000 2048 inout
+task 7 50178 2048 4096 2048 2
+param a0002000 2048 in
+param a0003800 2048 inout
+task 8 50179 2048 4096 2048 2
+param a0003800 2048 in
+param a0004000 2048 inout
+task 9 50177 682.66700000000003 2048 2048 1
+param a0004000 2048 inout
+)";
+
+TEST(TraceReplay, ShardEraTraceStillLoadsAndReplaysOnExecThreads) {
+  std::istringstream in(kShardEraTrace);
+  const auto trace = trace::read_text_trace(in);
+  ASSERT_EQ(trace.tasks.size(), 10u);
+  EXPECT_EQ(trace.meta.get(trace::TraceMeta::kBanks),
+            std::optional<std::string>("4"));
+
+  // Replay with every knob the meta carries, `banks` included.
+  engine::EngineParams params;
+  params.threads = 2;
+  params.banks = 4;
+  params.match_mode = core::MatchMode::kRange;
+  expect_replays_oracle_valid(trace, params);
 }
 
 }  // namespace
